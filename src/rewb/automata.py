@@ -1,9 +1,10 @@
 """Compilation of expressions to automata.
 
-Two views are built, both by the position (Glushkov) construction, so the
-state count is always "letter occurrences + 1" for the flattened view and
-"meta-letter occurrences + 1" for the hierarchical view, with no epsilon
-transitions.
+Two views are built, both by one position (Glushkov) construction,
+``_glushkov``, which each view gives a function that labels the nodes it
+reads as single positions. The state count is always "letter occurrences
++ 1" for the flattened view and "meta-letter occurrences + 1" for the
+hierarchical view, with no epsilon transitions.
 
 * ``hier_automaton`` keeps the expression's own level visible: a
   binding-free expression gets Read transitions over its letter
@@ -82,7 +83,7 @@ class RegisterNfa:
         self.finals = frozenset(finals)
         self.transitions = frozenset(transitions)
         index = {}
-        for src, letter, guard, store, dst in sorted(transitions, key=_nfa_key):
+        for src, letter, guard, store, dst in sorted(self.transitions, key=_nfa_key):
             index.setdefault((src, letter), []).append((guard, store, dst))
         self._index = index
 
@@ -103,152 +104,121 @@ def _require_well_named(e):
         )
 
 
-# Linearized regex over occurrences: ('eps',) | ('occ', i) | ('alt', a, b)
-# | ('cat', a, b) | ('star', a).
+def _glushkov(e, leaf, head=None):
+    """Position (Glushkov) automaton of ``e`` over the positions ``leaf`` picks.
 
+    ``leaf(node)`` returns the label of a node read as one position, or None
+    to look inside it. A binder looked inside reads its head letter as one
+    position labelled ``head(node)``, then its body. Positions are numbered
+    left to right; state 0 is initial and position ``i`` is state ``i + 1``.
+    Returns the number of states, the final states, and an iterator that
+    yields each transition (src, label, dst) once.
+    """
+    labels = []
+    follow = []  # follow[p]: positions that may come right after position p
 
-def _positions(lin, n_occ):
-    follow = {i: set() for i in range(n_occ)}
+    def position(label):
+        labels.append(label)
+        follow.append(set())
+        return frozenset((len(labels) - 1,))
 
-    def go(t):
-        kind = t[0]
-        if kind == "eps":
+    def go(node):
+        label = leaf(node)
+        if label is not None:
+            p = position(label)
+            return False, p, p
+        if isinstance(node, E.Eps):
             return True, frozenset(), frozenset()
-        if kind == "occ":
-            s = frozenset((t[1],))
-            return False, s, s
-        if kind == "alt":
-            n1, f1, l1 = go(t[1])
-            n2, f2, l2 = go(t[2])
+        if isinstance(node, E.Union):
+            n1, f1, l1 = go(node.left)
+            n2, f2, l2 = go(node.right)
             return n1 or n2, f1 | f2, l1 | l2
-        if kind == "cat":
-            n1, f1, l1 = go(t[1])
-            n2, f2, l2 = go(t[2])
+        if isinstance(node, E.Concat):
+            n1, f1, l1 = go(node.left)
+            n2, f2, l2 = go(node.right)
             for p in l1:
                 follow[p] |= f2
-            first = f1 | f2 if n1 else f1
-            last = l2 | l1 if n2 else l2
-            return n1 and n2, first, last
-        n1, f1, l1 = go(t[1])
-        for p in l1:
-            follow[p] |= f1
-        return True, f1, l1
+            return n1 and n2, f1 | f2 if n1 else f1, l2 | l1 if n2 else l2
+        if isinstance(node, E.Star):
+            n1, f1, l1 = go(node.body)
+            for p in l1:
+                follow[p] |= f1
+            return True, f1, l1
+        if isinstance(node, E.Bind) and head is not None:
+            h = position(head(node))
+            n1, f1, l1 = go(node.body)
+            for p in h:
+                follow[p] |= f1
+            return False, h, l1 | h if n1 else l1
+        raise AssertionError(f"{type(node).__name__} node outside the positions of this view")
 
-    nullable, first, last = go(lin)
-    return nullable, first, last, follow
+    nullable, first, last = go(e)
+    finals = {p + 1 for p in last}
+    if nullable:
+        finals.add(0)
+
+    def transitions():
+        for q in first:
+            yield 0, labels[q], q + 1
+        for p, succs in enumerate(follow):
+            for q in succs:
+                yield p + 1, labels[q], q + 1
+
+    return len(labels) + 1, finals, transitions()
 
 
 def register_nfa(e: E.Rewb) -> RegisterNfa:
     """Flatten ``e`` to a guarded NFA; requires ``e`` well-named."""
     _require_well_named(e)
-    occurrences = []
 
-    def lin(node):
-        if isinstance(node, E.Eps):
-            return ("eps",)
+    def leaf(node):
         if isinstance(node, E.Atom):
-            occurrences.append((node.letter, None, None))
-            return ("occ", len(occurrences) - 1)
+            return node.letter, None, None
         if isinstance(node, E.Test):
-            occurrences.append((node.letter, node.cond, None))
-            return ("occ", len(occurrences) - 1)
-        if isinstance(node, E.Union):
-            return ("alt", lin(node.left), lin(node.right))
-        if isinstance(node, E.Concat):
-            return ("cat", lin(node.left), lin(node.right))
-        if isinstance(node, E.Star):
-            return ("star", lin(node.body))
-        occurrences.append((node.letter, None, node.var))
-        head = ("occ", len(occurrences) - 1)
-        return ("cat", head, lin(node.body))
+            return node.letter, node.cond, None
+        return None
 
-    tree = lin(e)
-    nullable, first, last, follow = _positions(tree, len(occurrences))
-
-    transitions = set()
-    for q in first:
-        letter, guard, store = occurrences[q]
-        transitions.add((0, letter, guard, store, q + 1))
-    for p, succs in follow.items():
-        for q in succs:
-            letter, guard, store = occurrences[q]
-            transitions.add((p + 1, letter, guard, store, q + 1))
-    finals = {q + 1 for q in last}
-    if nullable:
-        finals.add(0)
-    return RegisterNfa(len(occurrences) + 1, finals, transitions)
+    n_states, finals, transitions = _glushkov(e, leaf, lambda node: (node.letter, None, node.var))
+    return RegisterNfa(n_states, finals, ((src, *label, dst) for src, label, dst in transitions))
 
 
 def hier_automaton(e: E.Rewb) -> HierAutomaton:
     """The generalized automaton at the expression's own level."""
     _require_well_named(e)
     level = E.classify(e)
-    occurrences = []
-
-    def occ(label):
-        occurrences.append(label)
-        return ("occ", len(occurrences) - 1)
+    head = None
 
     if level.f_level == 0:
 
-        def lin(node):
-            if isinstance(node, E.Eps):
-                return ("eps",)
+        def leaf(node):
             if isinstance(node, E.Atom):
-                return occ(Read(node.letter, None))
+                return Read(node.letter)
             if isinstance(node, E.Test):
-                return occ(Read(node.letter, node.cond))
-            if isinstance(node, E.Union):
-                return ("alt", lin(node.left), lin(node.right))
-            if isinstance(node, E.Concat):
-                return ("cat", lin(node.left), lin(node.right))
-            if isinstance(node, E.Star):
-                return ("star", lin(node.body))
-            raise AssertionError("binder in a level-0 expression")
+                return Read(node.letter, node.cond)
+            return None
 
     elif level.e_level == level.f_level:
         block_cut = level.f_level - 1
 
-        def lin(node):
+        def leaf(node):
             if E.classify(node).f_level <= block_cut:
-                return occ(SubExpr(node))
-            if isinstance(node, E.Bind):
-                head = occ(BindRead(node.letter, node.var))
-                return ("cat", head, lin(node.body))
-            if isinstance(node, E.Union):
-                return ("alt", lin(node.left), lin(node.right))
-            if isinstance(node, E.Concat):
-                return ("cat", lin(node.left), lin(node.right))
-            raise AssertionError("star outside a lower-F block in an E-shaped expression")
+                return SubExpr(node)
+            if isinstance(node, E.Star):
+                raise AssertionError("star outside a lower-F block in an E-shaped expression")
+            return None
+
+        def head(node):
+            return BindRead(node.letter, node.var)
 
     else:
         block_cut = level.f_level
 
-        def lin(node):
-            if E.classify(node).e_level <= block_cut:
-                return occ(SubExpr(node))
-            if isinstance(node, E.Union):
-                return ("alt", lin(node.left), lin(node.right))
-            if isinstance(node, E.Concat):
-                return ("cat", lin(node.left), lin(node.right))
-            if isinstance(node, E.Star):
-                return ("star", lin(node.body))
-            raise AssertionError("binder above the E-level blocks of an F-shaped expression")
+        def leaf(node):
+            return SubExpr(node) if E.classify(node).e_level <= block_cut else None
 
-    tree = lin(e)
-    nullable, first, last, follow = _positions(tree, len(occurrences))
-
-    transitions = set()
-    for q in first:
-        transitions.add((0, occurrences[q], q + 1))
-    for p, succs in follow.items():
-        for q in succs:
-            transitions.add((p + 1, occurrences[q], q + 1))
-    finals = {q + 1 for q in last}
-    if nullable:
-        finals.add(0)
+    n_states, finals, transitions = _glushkov(e, leaf, head)
     return HierAutomaton(
-        frozenset(range(len(occurrences) + 1)),
+        frozenset(range(n_states)),
         frozenset((0,)),
         frozenset(finals),
         frozenset(transitions),

@@ -99,12 +99,14 @@ def _cmd_eval(args):
     e = _expr_arg(args.expr)
     g = _graph_arg(args.graph)
     val = parse_valuation(args.val)
+    if args.witness and (args.source is None or args.target is None):
+        raise ValidationError("--witness needs --from and --to")
+    if (args.source is None) != (args.target is None):
+        raise ValidationError("--from and --to must be given together")
     for name in (args.source, args.target):
         if name is not None and name not in g.nodes:
             raise ValidationError(f"unknown node: {name}")
     if args.witness:
-        if args.source is None or args.target is None:
-            raise ValidationError("--witness needs --from and --to")
         path = witness_path(e, g, val, args.source, args.target)
         if path is None:
             print("none")
@@ -122,9 +124,7 @@ def _cmd_eval(args):
         pairs = eval_oracle(e, g, val, max_len=args.max_len)
     else:
         pairs = eval_flat(e, g, val)
-    if args.source is not None or args.target is not None:
-        if args.source is None or args.target is None:
-            raise ValidationError("--from and --to must be given together")
+    if args.source is not None:
         print("true" if (args.source, args.target) in pairs else "false")
         return 0
     for u, v in sorted(pairs):

@@ -4,17 +4,22 @@ Three engines compute the same node-pair relation and cross-check each
 other:
 
 * ``eval_flat``: forward closure over configurations (node, automaton
-  state, register valuation) of the flattened register NFA. Register
-  values only ever come from the graph or the starting valuation, so the
-  configuration space is finite and the closure is sound and complete.
+  state, register valuation) of the flattened register NFA, one search
+  from each source node. Register values only ever come from the graph or
+  the starting valuation, so the configuration space is finite and the
+  closure is sound and complete. This breadth-first configuration search
+  (``_search``) is the only one in the flat engine: ``connected`` stops it
+  at a target node, ``witness_path`` also keeps parent links to read off a
+  shortest path, and the stratified engine runs it on binding-free blocks.
 
-* ``eval_stratified``: the per-level scheme. Uniteration-free expressions
-  walk their acyclic hierarchical automaton, choosing a graph edge at each
-  binder and recursing into lower-level blocks; properly F-shaped
-  expressions evaluate each maximal E-level block on all node pairs, add
-  the results as meta-edges and run a classical product reachability over
-  them. Results are memoized per (block, valuation restricted to its free
-  variables).
+* ``eval_stratified``: the per-level scheme. Binding-free blocks are
+  searched as above, with guards reading only the block's valuation.
+  Uniteration-free expressions walk their acyclic hierarchical automaton,
+  choosing a graph edge at each binder and recursing into lower-level
+  blocks; properly F-shaped expressions evaluate each maximal E-level
+  block on all node pairs, add the results as meta-edges and run a
+  classical product reachability over them. Results are memoized per
+  (block, valuation restricted to its free variables).
 
 * ``eval_oracle``: bounded-length path search. Semantically this
   enumerates every data path up to ``max_len`` edges and keeps the pairs
@@ -26,8 +31,10 @@ other:
   n the node count and i the expression's E-level; the number of explored
   prefix classes is capped by a configurable budget.
 
-Expressions with free variables are evaluated under an explicit valuation
-covering them ("compatible"); the ``*_any`` variants close them off by
+Every entry point takes an expression's free variables and register NFA
+from one cached compile step (``_compiled``). Expressions with free
+variables are evaluated under an explicit valuation covering them
+("compatible"); the ``*_any`` variants close them off by
 enumerating input data values plus one shared fresh value, which suffices
 because conditions only compare a variable against the current letter's
 value, never variables against each other.
@@ -53,8 +60,8 @@ def _vkey(val):
     return tuple(sorted(val.items()))
 
 
-def _check_compatible(e, val):
-    missing = E.free_vars(e) - set(val)
+def _check_covers(free, val):
+    missing = free - set(val)
     if missing:
         raise CompatibilityError(
             f"valuation does not cover free variables: {', '.join(sorted(missing))}"
@@ -63,7 +70,18 @@ def _check_compatible(e, val):
 
 @lru_cache(maxsize=256)
 def _compiled(e):
-    return register_nfa(E.alpha_rename(e))
+    """Free variables and register NFA of ``e``.
+
+    A cached call walks the tree once, to hash it.
+    """
+    return frozenset(E.free_vars(e)), register_nfa(E.alpha_rename(e))
+
+
+def _checked_nfa(e, val):
+    """The register NFA of ``e``, once ``val`` is known to cover its free variables."""
+    free, nfa = _compiled(e)
+    _check_covers(free, val)
+    return nfa
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +91,10 @@ def _compiled(e):
 def member(e: E.Rewb, w: DataWord, val=None) -> bool:
     """Is ``w`` in the language of ``e`` under the compatible valuation?"""
     val = dict(val or {})
-    _check_compatible(e, val)
-    nfa = _compiled(e)
+    return _member(_checked_nfa(e, val), w, val)
+
+
+def _member(nfa, w, val):
     configs = {(0, _vkey(val)): val}
     for letter, d in w:
         nxt = {}
@@ -103,37 +123,45 @@ def _closing_valuations(free, values):
 
 def member_any(e: E.Rewb, w: DataWord) -> bool:
     """Is ``w`` in the language of ``e`` under some compatible valuation?"""
-    for val in _closing_valuations(E.free_vars(e), word_values(w)):
-        if member(e, w, val):
-            return True
-    return False
+    free, nfa = _compiled(e)
+    return any(_member(nfa, w, val) for val in _closing_valuations(free, word_values(w)))
 
 
 # ---------------------------------------------------------------------------
-# Flat configuration-reachability engine
+# Configuration search
 
 
-def _reach(nfa, adj, val, start, target=None):
-    """Nodes reachable from ``start`` through an accepted data path.
+def _search(nfa, adj, val, start, target=None, parent=None):
+    """Breadth-first search over configurations (node, state, registers).
 
-    With ``target`` set, stops early once the target is known reachable.
+    Starts from ``start`` in the initial state with registers ``val`` and
+    follows graph edges through the NFA's guarded moves. Returns a dict
+    mapping each node reached in a final state to the first configuration
+    that reached it there, which is one of fewest edges. With
+    ``target`` set, stops as soon as the target is in that dict. With
+    ``parent`` (a dict) given, records for every configuration after the
+    first the (configuration, edge) it was reached from.
     """
+    finals = nfa.finals
+    moves = nfa._index.get
+    satisfies = E.satisfies
     key0 = (start, 0, _vkey(val))
+    hits = {}
+    if 0 in finals:
+        hits[start] = key0
+        if start == target:
+            return hits
     seen = {key0: val}
     frontier = [key0]
-    hits = set()
-    if 0 in nfa.finals:
-        hits.add(start)
-        if target is not None and start == target:
-            return hits
     while frontier:
         nxt = []
         for key in frontier:
             node, q, vk = key
             v = seen[key]
-            for _, letter, d, dst in adj[node]:
-                for guard, store, q2 in nfa.moves(q, letter):
-                    if guard is not None and not E.satisfies(guard, d, v):
+            for edge in adj[node]:
+                _, letter, d, dst = edge
+                for guard, store, q2 in moves((q, letter), ()):
+                    if guard is not None and not satisfies(guard, d, v):
                         continue
                     if store is None:
                         k2 = (dst, q2, vk)
@@ -141,28 +169,28 @@ def _reach(nfa, adj, val, start, target=None):
                     else:
                         v2 = {**v, store: d}
                         k2 = (dst, q2, _vkey(v2))
-                    if k2 not in seen:
-                        seen[k2] = v2
-                        nxt.append(k2)
-                        if q2 in nfa.finals:
-                            hits.add(dst)
-                            if target is not None and dst == target:
-                                return hits
+                    if k2 in seen:
+                        continue
+                    seen[k2] = v2
+                    nxt.append(k2)
+                    if parent is not None:
+                        parent[k2] = (key, edge)
+                    if q2 in finals and dst not in hits:
+                        hits[dst] = k2
+                        if dst == target:
+                            return hits
         frontier = nxt
     return hits
+
+
+def _all_pairs(nfa, nodes, adj, val):
+    return {(u, v) for u in nodes for v in _search(nfa, adj, val, u)}
 
 
 def eval_flat(e: E.Rewb, g: DataGraph, val=None) -> set:
     """All pairs (u, v) connected by a data path in the language of ``e``."""
     val = dict(val or {})
-    _check_compatible(e, val)
-    nfa = _compiled(e)
-    adj = g.out_edges()
-    pairs = set()
-    for u in g.nodes:
-        for v in _reach(nfa, adj, val, u):
-            pairs.add((u, v))
-    return pairs
+    return _all_pairs(_checked_nfa(e, val), g.nodes, g.out_edges(), val)
 
 
 def _check_nodes(g, *nodes):
@@ -174,18 +202,18 @@ def _check_nodes(g, *nodes):
 def connected(e: E.Rewb, g: DataGraph, val, u, v) -> bool:
     """Is there a data path from u to v in the language of ``e``?"""
     val = dict(val or {})
-    _check_compatible(e, val)
+    nfa = _checked_nfa(e, val)
     _check_nodes(g, u, v)
-    nfa = _compiled(e)
-    adj = g.out_edges()
-    return v in _reach(nfa, adj, val, u, target=v)
+    return v in _search(nfa, g.out_edges(), val, u, target=v)
 
 
 def eval_any(e: E.Rewb, g: DataGraph) -> set:
     """Union of eval_flat over all closing valuations of the free variables."""
+    free, nfa = _compiled(e)
+    adj = g.out_edges()
     pairs = set()
-    for val in _closing_valuations(E.free_vars(e), g.data_values()):
-        pairs |= eval_flat(e, g, val)
+    for val in _closing_valuations(free, g.data_values()):
+        pairs |= _all_pairs(nfa, g.nodes, adj, val)
     return pairs
 
 
@@ -197,48 +225,18 @@ def witness_path(e: E.Rewb, g: DataGraph, val, u, v):
     exists.
     """
     val = dict(val or {})
-    _check_compatible(e, val)
+    nfa = _checked_nfa(e, val)
     _check_nodes(g, u, v)
-    nfa = _compiled(e)
-    adj = g.out_edges()
-
-    key0 = (u, 0, _vkey(val))
-    seen = {key0: val}
-    parent = {key0: None}
-    frontier = [key0]
-    if 0 in nfa.finals and u == v:
-        return []
-    while frontier:
-        nxt = []
-        for key in frontier:
-            node, q, vk = key
-            vcur = seen[key]
-            for edge in adj[node]:
-                _, letter, d, dst = edge
-                for guard, store, q2 in nfa.moves(q, letter):
-                    if guard is not None and not E.satisfies(guard, d, vcur):
-                        continue
-                    if store is None:
-                        k2 = (dst, q2, vk)
-                        v2 = vcur
-                    else:
-                        v2 = {**vcur, store: d}
-                        k2 = (dst, q2, _vkey(v2))
-                    if k2 in seen:
-                        continue
-                    seen[k2] = v2
-                    parent[k2] = (key, edge)
-                    if q2 in nfa.finals and dst == v:
-                        path = []
-                        cur = k2
-                        while parent[cur] is not None:
-                            cur, used = parent[cur]
-                            path.append(used)
-                        path.reverse()
-                        return path
-                    nxt.append(k2)
-        frontier = nxt
-    return None
+    parent = {}
+    key = _search(nfa, g.out_edges(), val, u, target=v, parent=parent).get(v)
+    if key is None:
+        return None
+    path = []
+    while key in parent:
+        key, edge = parent[key]
+        path.append(edge)
+    path.reverse()
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +246,10 @@ def witness_path(e: E.Rewb, g: DataGraph, val, u, v):
 def eval_stratified(e: E.Rewb, g: DataGraph, val=None) -> set:
     """Per-level evaluation; same result set as eval_flat."""
     val = dict(val or {})
-    _check_compatible(e, val)
     renamed = E.alpha_rename(e)
-    adj = g.out_edges()
-    memo = {}
-    return _strat(renamed, g, adj, {v: val[v] for v in E.free_vars(renamed)}, memo)
+    free = E.free_vars(renamed)
+    _check_covers(free, val)
+    return _strat(renamed, g, g.out_edges(), {v: val[v] for v in free}, {})
 
 
 def _strat(e, g, adj, val, memo):
@@ -261,37 +258,13 @@ def _strat(e, g, adj, val, memo):
         return memo[key]
     level = E.classify(e)
     if level.f_level == 0:
-        pairs = _strat_level0(e, g, adj, val)
+        # Classical product reachability: guards only consult ``val``.
+        pairs = _all_pairs(_compiled(e)[1], g.nodes, adj, val)
     elif level.e_level == level.f_level:
         pairs = _strat_eshape(e, g, adj, val, memo)
     else:
         pairs = _strat_fshape(e, g, adj, val, memo)
     memo[key] = pairs
-    return pairs
-
-
-def _strat_level0(e, g, adj, val):
-    """Classical product reachability; guards only consult ``val``."""
-    nfa = register_nfa(e)
-    pairs = set()
-    for u in g.nodes:
-        seen = {(u, 0)}
-        frontier = [(u, 0)]
-        if 0 in nfa.finals:
-            pairs.add((u, u))
-        while frontier:
-            nxt = []
-            for node, q in frontier:
-                for _, letter, d, dst in adj[node]:
-                    for guard, _store, q2 in nfa.moves(q, letter):
-                        if guard is not None and not E.satisfies(guard, d, val):
-                            continue
-                        if (dst, q2) not in seen:
-                            seen.add((dst, q2))
-                            nxt.append((dst, q2))
-                            if q2 in nfa.finals:
-                                pairs.add((u, dst))
-            frontier = nxt
     return pairs
 
 
@@ -413,12 +386,11 @@ def eval_oracle(
     rather than returning a truncated result.
     """
     val = dict(val or {})
-    _check_compatible(e, val)
+    nfa = _checked_nfa(e, val)
     if max_len is None:
         max_len = oracle_bound(e, g)
     if budget is None:
         budget = DEFAULT_ORACLE_BUDGET
-    nfa = _compiled(e)
     adj = g.out_edges()
     explored = 0
     pairs = set()
@@ -466,7 +438,3 @@ def eval_oracle(
                     nxt.append((dst, cs2, outvals))
             frontier = nxt
     return pairs
-
-
-def sorted_pairs(pairs) -> list:
-    return sorted(pairs)

@@ -27,6 +27,8 @@ def test_hier_level0_chain():
               for src, label, dst in aut.transitions}
     assert labels == {(0, Read, "a", 1), (1, Read, "b", 2)}
     assert aut.finals == {2}
+    conditioned = hier_automaton(parse_expr("a[x=].b"))
+    assert conditioned.transitions == {(0, Read("a", E.Eq("x")), 1), (1, Read("b"), 2)}
 
 
 def test_hier_eshape_is_bindread_then_block():

@@ -74,6 +74,9 @@ def test_eval_from_to_and_witness(tmp_path):
     code, _, err = run(["eval", "--expr", "a", "--graph", str(graph_file),
                         "--from", "zz", "--to", "u"])
     assert code == 1 and "unknown node" in err
+    for flag in (["--from", "u"], ["--to", "v"]):
+        code, _, err = run(["eval", "--expr", "a[x=]", "--graph", str(graph_file)] + flag)
+        assert code == 1 and "--from and --to must be given together" in err
 
 
 def test_eval_oracle_budget_exit_code(tmp_path):

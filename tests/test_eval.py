@@ -5,7 +5,7 @@ import random
 import pytest
 
 import rewb.expr as E
-from rewb.data import fresh_value, graph
+from rewb.data import fresh_value, graph, word_values
 from rewb.errors import BudgetError, CompatibilityError
 from rewb.evaluate import (
     connected,
@@ -18,7 +18,7 @@ from rewb.evaluate import (
     oracle_bound,
     witness_path,
 )
-from rewb.randgen import random_expr, random_graph, random_valuation
+from rewb.randgen import random_expr, random_graph, random_valuation, random_word
 from rewb.syntax import parse_expr, parse_word
 
 from oracles import brute_pairs
@@ -93,6 +93,26 @@ def test_stratified_level0_matches_flat_and_independent_reachability():
         for u, v in strat:
             if len(witness_path(e, g, val, u, v)) <= 4:
                 assert (u, v) in short
+
+
+def test_member_agrees_with_eval_flat_on_path_graphs():
+    # a word laid out as a path p0 -> ... -> pn: the flat search accepts
+    # (p0, pn) exactly when member, with its own loop, accepts the word
+    rng = random.Random(53)
+    verdicts = []
+    for _ in range(200):
+        e = random_expr(rng, 8, max_e_level=2)
+        w = random_word(rng, 6)
+        nodes = [f"p{i}" for i in range(len(w) + 1)]
+        g = graph(
+            [(nodes[i], letter, value, nodes[i + 1]) for i, (letter, value) in enumerate(w)],
+            nodes=nodes,
+        )
+        val = random_valuation(rng, sorted(E.free_vars(e)), sorted(word_values(w)))
+        verdict = member(e, w, val)
+        assert ((nodes[0], nodes[-1]) in eval_flat(e, g, val)) == verdict, (e, w, val)
+        verdicts.append(verdict)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_level2_witness_pairs_are_exactly_the_block_runs():
