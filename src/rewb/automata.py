@@ -18,7 +18,9 @@ hierarchical view, with no epsilon transitions.
   transitions with store actions: a binder contributes its head letter
   with a store, a conditioned letter contributes its guard. Acceptance is
   defined over configurations (state, valuation); the language equals the
-  expression's language for every compatible starting valuation.
+  expression's language for every compatible starting valuation. It fixes
+  one register slot per variable and compiles each guard once to a closure
+  over the register tuple, so a search runs without re-interpreting guards.
 
 Both constructions require the input to be well-named (binder names
 pairwise distinct and disjoint from the free variables); ``alpha_rename``
@@ -75,6 +77,11 @@ class RegisterNfa:
     State 0 is initial; occurrence ``i`` is state ``i + 1``. Transitions
     are (src, letter, guard, store, dst) with ``guard`` a Condition or
     None (always true) and ``store`` a variable or None.
+
+    Registers are a tuple with one slot per variable of ``slots``.
+    ``moves`` returns entries (guard, store, dst, test, slot): ``test`` is
+    the guard compiled over registers, ``slot`` the store's index (each
+    None where the guard or store is).
     """
 
     def __init__(self, n_states, finals, transitions):
@@ -82,9 +89,21 @@ class RegisterNfa:
         self.initial = 0
         self.finals = frozenset(finals)
         self.transitions = frozenset(transitions)
+        order = sorted(self.transitions, key=_nfa_key)
+        # The transitions into a position all carry its label, so they share
+        # one index entry, with the guard compiled once.
+        labels = {t[4]: t for t in order}
+        names = {store for _, _, _, store, _ in labels.values() if store is not None}
+        names.update(*(E.cond_vars(guard) for _, _, guard, _, _ in labels.values() if guard))
+        self.slots = tuple(sorted(names))
+        slot = {var: i for i, var in enumerate(self.slots)}
+        entries = {
+            dst: (guard, store, dst, guard and E.compile_cond(guard, slot), slot.get(store))
+            for dst, (_, _, guard, store, _) in labels.items()
+        }
         index = {}
-        for src, letter, guard, store, dst in sorted(self.transitions, key=_nfa_key):
-            index.setdefault((src, letter), []).append((guard, store, dst))
+        for src, letter, _, _, dst in order:
+            index.setdefault((src, letter), []).append(entries[dst])
         self._index = index
 
     def moves(self, state, letter):
@@ -92,8 +111,8 @@ class RegisterNfa:
 
 
 def _nfa_key(t):
-    src, letter, guard, store, dst = t
-    return (src, letter, dst, repr(guard), repr(store))
+    # The destination position fixes the label, so (src, dst) is unique.
+    return t[0], t[4]
 
 
 def _require_well_named(e):

@@ -34,7 +34,7 @@ def determinize(e: E.Rewb, alphabet, state_budget: int = 64):
         pos += 1
         for letter in alphabet:
             succ = frozenset(
-                dst for q in current for _g, _s, dst in nfa.moves(q, letter)
+                dst for q in current for _g, _s, dst, _t, _i in nfa.moves(q, letter)
             )
             if succ not in ids:
                 if len(ids) >= state_budget:

@@ -4,13 +4,16 @@ Three engines compute the same node-pair relation and cross-check each
 other:
 
 * ``eval_flat``: forward closure over configurations (node, automaton
-  state, register valuation) of the flattened register NFA, one search
-  from each source node. Register values only ever come from the graph or
-  the starting valuation, so the configuration space is finite and the
+  state, register tuple) of the flattened register NFA, one search from
+  each source node. Register values only ever come from the graph or the
+  starting valuation, so the configuration space is finite and the
   closure is sound and complete. This breadth-first configuration search
   (``_search``) is the only one in the flat engine: ``connected`` stops it
   at a target node, ``witness_path`` also keeps parent links to read off a
   shortest path, and the stratified engine runs it on binding-free blocks.
+  It tests each guard with one call of its compiled closure and splices
+  stored values into the tuple; ``member`` and ``eval_oracle`` interpret
+  guards over dict valuations instead, as a check on the compiled form.
 
 * ``eval_stratified``: the per-level scheme. Binding-free blocks are
   searched as above, with guards reading only the block's valuation.
@@ -95,11 +98,12 @@ def member(e: E.Rewb, w: DataWord, val=None) -> bool:
 
 
 def _member(nfa, w, val):
+    moves = nfa._index.get
     configs = {(0, _vkey(val)): val}
     for letter, d in w:
         nxt = {}
         for (q, vk), v in configs.items():
-            for guard, store, q2 in nfa.moves(q, letter):
+            for guard, store, q2, _test, _slot in moves((q, letter), ()):
                 if guard is None or E.satisfies(guard, d, v):
                     if store is None:
                         nxt.setdefault((q2, vk), v)
@@ -134,44 +138,41 @@ def member_any(e: E.Rewb, w: DataWord) -> bool:
 def _search(nfa, adj, val, start, target=None, parent=None):
     """Breadth-first search over configurations (node, state, registers).
 
-    Starts from ``start`` in the initial state with registers ``val`` and
-    follows graph edges through the NFA's guarded moves. Returns a dict
-    mapping each node reached in a final state to the first configuration
-    that reached it there, which is one of fewest edges. With
-    ``target`` set, stops as soon as the target is in that dict. With
-    ``parent`` (a dict) given, records for every configuration after the
-    first the (configuration, edge) it was reached from.
+    Starts from ``start`` in the initial state with registers ``val`` (as
+    a tuple over ``nfa.slots``) and follows graph edges through the NFA's
+    compiled moves. Returns a dict mapping each node reached in a final
+    state to the first configuration that reached it there, which is one
+    of fewest edges. With ``target`` set, stops as soon as the target is
+    in that dict. With ``parent`` (a dict) given, records for every
+    configuration after the first the (configuration, edge) it was
+    reached from.
     """
     finals = nfa.finals
     moves = nfa._index.get
-    satisfies = E.satisfies
-    key0 = (start, 0, _vkey(val))
+    key0 = (start, 0, tuple(val.get(var, E.UNSET) for var in nfa.slots))
     hits = {}
     if 0 in finals:
         hits[start] = key0
         if start == target:
             return hits
-    seen = {key0: val}
+    seen = {key0}
     frontier = [key0]
     while frontier:
         nxt = []
         for key in frontier:
-            node, q, vk = key
-            v = seen[key]
+            node, q, regs = key
             for edge in adj[node]:
                 _, letter, d, dst = edge
-                for guard, store, q2 in moves((q, letter), ()):
-                    if guard is not None and not satisfies(guard, d, v):
+                for _guard, _store, q2, test, slot in moves((q, letter), ()):
+                    if test is not None and not test(d, regs):
                         continue
-                    if store is None:
-                        k2 = (dst, q2, vk)
-                        v2 = v
+                    if slot is None:
+                        k2 = (dst, q2, regs)
                     else:
-                        v2 = {**v, store: d}
-                        k2 = (dst, q2, _vkey(v2))
+                        k2 = (dst, q2, regs[:slot] + (d,) + regs[slot + 1 :])
                     if k2 in seen:
                         continue
-                    seen[k2] = v2
+                    seen.add(k2)
                     nxt.append(k2)
                     if parent is not None:
                         parent[k2] = (key, edge)
@@ -411,7 +412,7 @@ def eval_oracle(
                     outvals = {}
                     for q, vk in cs:
                         v = vals[vk]
-                        for guard, store, q2 in nfa.moves(q, letter):
+                        for guard, store, q2, _test, _slot in nfa.moves(q, letter):
                             if guard is not None and not E.satisfies(guard, d, v):
                                 continue
                             if store is None:

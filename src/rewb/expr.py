@@ -19,12 +19,17 @@ The level of an expression says how deeply binding and iteration nest: the
 F-side adds stars over the E-side, the E-side adds bindings over the
 previous F-side. Binding-free expressions sit at F-level 0; E-levels start
 at 1.
+
+Expression nodes hash on first use and keep the hash, so caches keyed by
+trees walk each tree once. ``satisfies`` interprets a condition over a dict
+valuation (the reference semantics); ``compile_cond`` turns it into a
+closure over a register tuple with one slot per variable.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import UndefinedVariableError, ValidationError
 
@@ -99,6 +104,37 @@ def satisfies(c: Condition, d: DataValue, val: Valuation) -> bool:
     return satisfies(c.left, d, val) or satisfies(c.right, d, val)
 
 
+# The value of a register that no binder has stored to yet.
+UNSET = object()
+
+
+def compile_cond(c: Condition, slot: dict):
+    """``c`` as a function ``test(d, regs)`` of a data value and a register tuple.
+
+    ``slot`` maps each variable of ``c`` to its index in ``regs``. The test
+    agrees with ``satisfies`` under the valuation the tuple encodes, with
+    the same left-to-right short cuts: reading a register that holds UNSET
+    raises UndefinedVariableError.
+    """
+    if isinstance(c, Not):
+        body = compile_cond(c.body, slot)
+        return lambda d, regs: not body(d, regs)
+    if isinstance(c, (Eq, Neq)):
+        i, var, eq = slot[c.var], c.var, isinstance(c, Eq)
+
+        def leaf(d, regs):
+            v = regs[i]
+            if v is UNSET:
+                raise UndefinedVariableError(f"variable {var} has no value")
+            return v == d if eq else v != d
+
+        return leaf
+    left, right = compile_cond(c.left, slot), compile_cond(c.right, slot)
+    if isinstance(c, And):
+        return lambda d, regs: left(d, regs) and right(d, regs)
+    return lambda d, regs: left(d, regs) or right(d, regs)
+
+
 def and_all(conds: list) -> Condition:
     """Right-associated conjunction of a nonempty list of conditions."""
     if not conds:
@@ -123,40 +159,64 @@ def or_all(conds: list) -> Condition:
 # Expressions
 
 
-@dataclass(frozen=True, slots=True)
+def _node(cls):
+    """Make ``cls`` a frozen dataclass whose hash is computed once, on first use.
+
+    The generated hash walks the whole subtree, which caches keyed by
+    expressions would pay on every lookup. The kept hash stays out of
+    equality, repr and pickles (which may be loaded under another hash seed).
+    """
+    cls.__annotations__["_hash"] = int
+    cls._hash = field(default=None, init=False, repr=False, compare=False)
+    cls = dataclass(frozen=True, slots=True)(cls)
+    walk = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = walk(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    cls.__reduce__ = lambda self: (type(self), tuple(getattr(self, f) for f in self.__match_args__))
+    return cls
+
+
+@_node
 class Eps:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Atom:
     letter: Letter
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Test:
     letter: Letter
     cond: Condition
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Union:
     left: "Rewb"
     right: "Rewb"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Concat:
     left: "Rewb"
     right: "Rewb"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Star:
     body: "Rewb"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Bind:
     letter: Letter
     var: Var

@@ -117,6 +117,22 @@ def test_register_nfa_guard_variables_are_free_or_binders():
                 assert E.cond_vars(guard) <= allowed
 
 
+
+def test_register_nfa_index_matches_the_full_sort_key():
+    # The destination fixes a transition's label, so sorting by (src, dst)
+    # alone must give every move list the order of the full key.
+    rng = random.Random(21)
+    for _ in range(300):
+        nfa = register_nfa(E.alpha_rename(random_expr(rng, 12, letters=("a", "b", "c"))))
+        full = {}
+        for src, letter, guard, store, dst in sorted(
+            nfa.transitions, key=lambda t: (t[0], t[1], t[4], repr(t[2]), repr(t[3]))
+        ):
+            full.setdefault((src, letter), []).append((guard, store, dst))
+        for (src, letter), moves in full.items():
+            assert [m[:3] for m in nfa.moves(src, letter)] == moves
+        assert sum(map(len, full.values())) == len(nfa.transitions)
+
 def test_register_nfa_examples():
     e = parse_expr("a@x(b[x=]*)")
     assert member(e, (("a", "5"), ("b", "5"), ("b", "5")))

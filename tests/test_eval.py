@@ -8,6 +8,7 @@ import rewb.expr as E
 from rewb.data import fresh_value, graph, word_values
 from rewb.errors import BudgetError, CompatibilityError
 from rewb.evaluate import (
+    _compiled,
     connected,
     eval_any,
     eval_flat,
@@ -286,3 +287,11 @@ def test_short_witness_bound_holds():
         for u, v in eval_flat(e, g, val):
             path = witness_path(e, g, val, u, v)
             assert path is not None and len(path) <= bound
+
+
+def test_an_equal_fresh_tree_hits_the_compile_cache():
+    text = "a@x((b[x!=])*.a[x=]).c[y=]"
+    first = _compiled(parse_expr(text))
+    hits = _compiled.cache_info().hits
+    assert _compiled(parse_expr(text)) is first
+    assert _compiled.cache_info().hits == hits + 1

@@ -1,5 +1,6 @@
 """Core expression operations: free variables, renaming, levels, UNF."""
 
+import pickle
 import random
 
 import pytest
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 import rewb.expr as E
 from rewb import alpha_rename, classify, free_vars, indistinguishable_sampled, member, to_unf
 from rewb.automata import automaton_size
-from rewb.errors import ValidationError
+from rewb.errors import UndefinedVariableError, ValidationError
 from rewb.gadgets import eval_expr
-from rewb.randgen import random_expr, random_valuation, random_word
+from rewb.randgen import random_cond, random_expr, random_valuation, random_word
 from rewb.syntax import parse_expr, print_expr
 from rewb.witness import r_expr
 
@@ -162,8 +163,6 @@ def test_indistinguishable_rejects_non_free_variables():
 
 
 def test_condition_satisfaction_is_an_error_on_undefined_variables():
-    from rewb.errors import UndefinedVariableError
-
     with pytest.raises(UndefinedVariableError):
         E.satisfies(E.Eq("x"), "1", {})
 
@@ -175,3 +174,45 @@ def test_not_eq_and_neq_are_distinct_nodes_with_equal_semantics():
     for d in ("1", "2"):
         for v in ("1", "2"):
             assert E.satisfies(ne, d, {"x": v}) == E.satisfies(not_eq, d, {"x": v})
+
+
+def _outcome(test, *args):
+    try:
+        return test(*args)
+    except UndefinedVariableError:
+        return UndefinedVariableError
+
+
+def test_compiled_conditions_agree_with_satisfies():
+    variables = ["x", "y", "z"]
+    slot = {v: i for i, v in enumerate(variables)}
+    rng = random.Random(31)
+    raised = 0
+    for _ in range(3000):
+        c = random_cond(rng, variables, 3)
+        val = {v: rng.choice("123") for v in variables if rng.random() < 0.8}
+        regs = tuple(val.get(v, E.UNSET) for v in variables)
+        d = rng.choice("123")
+        expected = _outcome(E.satisfies, c, d, val)
+        assert _outcome(E.compile_cond(c, slot), d, regs) is expected
+        raised += expected is UndefinedVariableError
+    assert 0 < raised < 3000
+
+
+def test_compiled_condition_short_cuts_like_satisfies():
+    test = E.compile_cond(E.Or(E.Eq("x"), E.Eq("y")), {"x": 0, "y": 1})
+    assert test("1", ("1", E.UNSET)) is True
+    with pytest.raises(UndefinedVariableError):
+        test("2", ("1", E.UNSET))
+
+
+def test_equal_trees_hash_equal_and_kinds_stay_apart():
+    text = "(a@x((b[x!=])*.a[x=]))*+c[y=]"
+    first, second = parse_expr(text), parse_expr(text)
+    assert first is not second
+    assert hash(first) == hash(second) and first == second
+    # A pickle may be loaded under another hash seed, so it carries no hash.
+    copied = pickle.loads(pickle.dumps(first))
+    assert copied == first and copied._hash is None and hash(copied) == hash(first)
+    left, right = parse_expr("a"), parse_expr("b[x=]")
+    assert E.Union(left, right) != E.Concat(left, right)
