@@ -63,12 +63,13 @@ class HierAutomaton:
     transitions: frozenset  # of (state, MetaLabel, state)
 
     def sorted_transitions(self):
-        return sorted(self.transitions, key=_transition_key)
+        return sorted(self.transitions, key=_src_dst)
 
 
-def _transition_key(t):
-    src, label, dst = t
-    return (src, dst, type(label).__name__, repr(label))
+def _src_dst(t):
+    # In a position automaton the destination fixes the label, so
+    # (src, dst) is unique.
+    return t[0], t[-1]
 
 
 class RegisterNfa:
@@ -89,7 +90,7 @@ class RegisterNfa:
         self.initial = 0
         self.finals = frozenset(finals)
         self.transitions = frozenset(transitions)
-        order = sorted(self.transitions, key=_nfa_key)
+        order = sorted(self.transitions, key=_src_dst)
         # The transitions into a position all carry its label, so they share
         # one index entry, with the guard compiled once.
         labels = {t[4]: t for t in order}
@@ -108,11 +109,6 @@ class RegisterNfa:
 
     def moves(self, state, letter):
         return self._index.get((state, letter), ())
-
-
-def _nfa_key(t):
-    # The destination position fixes the label, so (src, dst) is unique.
-    return t[0], t[4]
 
 
 def _require_well_named(e):

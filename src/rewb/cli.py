@@ -211,9 +211,9 @@ def _cmd_gadget(args):
         return 0
     if kind == "pcp-delta":
         inst = _pairs_arg(args.pairs)
-        delta = pcp_delta(inst, args.i)
         if not args.out_expr:
             raise ValidationError("pcp-delta needs --out-expr")
+        delta = pcp_delta(inst, args.i)
         with open(args.out_expr, "w", encoding="utf-8") as handle:
             handle.write(print_expr(delta) + "\n")
         print(f"free-vars {' '.join(sorted(E.free_vars(delta))) or '-'}")

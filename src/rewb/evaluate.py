@@ -15,14 +15,17 @@ other:
   stored values into the tuple; ``member`` and ``eval_oracle`` interpret
   guards over dict valuations instead, as a check on the compiled form.
 
-* ``eval_stratified``: the per-level scheme. Binding-free blocks are
-  searched as above, with guards reading only the block's valuation.
-  Uniteration-free expressions walk their acyclic hierarchical automaton,
-  choosing a graph edge at each binder and recursing into lower-level
-  blocks; properly F-shaped expressions evaluate each maximal E-level
-  block on all node pairs, add the results as meta-edges and run a
-  classical product reachability over them. Results are memoized per
-  (block, valuation restricted to its free variables).
+* ``eval_stratified``: the per-level scheme. It computes the row of the
+  query at each source node: the nodes that a path from it in the
+  language reaches. A binding-free block's row is one search as above,
+  with guards reading only the block's valuation. Any other block walks
+  its hierarchical automaton from the source, binding the edge's value at
+  a BindRead and following the row of a lower block from the current node
+  at a SubExpr; F-shaped automata have no BindRead, so one walk serves
+  both shapes. A block is thus evaluated only from the nodes a walk
+  reaches. Rows are memoized per (block, valuation restricted to its free
+  variables, source), and the walk keeps dict valuations, so it checks the
+  flat engine's register tuples independently.
 
 * ``eval_oracle``: bounded-length path search. Semantically this
   enumerates every data path up to ``max_len`` edges and keeps the pairs
@@ -52,7 +55,7 @@ import itertools
 from functools import lru_cache
 
 from . import expr as E
-from .automata import BindRead, automaton_size, hier_automaton, register_nfa
+from .automata import BindRead, RegisterNfa, automaton_size, hier_automaton, register_nfa
 from .data import DataGraph, DataWord, fresh_value, word_values
 from .errors import BudgetError, CompatibilityError, ValidationError
 
@@ -250,111 +253,72 @@ def eval_stratified(e: E.Rewb, g: DataGraph, val=None) -> set:
     renamed = E.alpha_rename(e)
     free = E.free_vars(renamed)
     _check_covers(free, val)
-    return _strat(renamed, g, g.out_edges(), {v: val[v] for v in free}, {})
+    adj = g.out_edges()
+    val = {v: val[v] for v in free}
+    memo = {}
+    return {(u, v) for u in g.nodes for v in _strat(renamed, adj, val, u, memo)}
 
 
-def _strat(e, g, adj, val, memo):
-    key = (e, _vkey(val))
-    if key in memo:
-        return memo[key]
-    level = E.classify(e)
-    if level.f_level == 0:
-        # Classical product reachability: guards only consult ``val``.
-        pairs = _all_pairs(_compiled(e)[1], g.nodes, adj, val)
-    elif level.e_level == level.f_level:
-        pairs = _strat_eshape(e, g, adj, val, memo)
-    else:
-        pairs = _strat_fshape(e, g, adj, val, memo)
-    memo[key] = pairs
-    return pairs
+@lru_cache(maxsize=256)
+def _plan(e):
+    """How ``_strat`` evaluates the renamed block ``e``.
 
-
-def _restricted(val, e):
-    return {v: val[v] for v in E.free_vars(e)}
-
-
-def _strat_fshape(e, g, adj, val, memo):
-    """Evaluate each maximal E-level block, then product reachability
-    over the block results used as meta-edges."""
-    aut = hier_automaton(e)
-    block_edges = {}
-    moves = {}
-    for src, label, dst in aut.sorted_transitions():
-        block = label.expr
-        if block not in block_edges:
-            result = _strat(block, g, adj, _restricted(val, block), memo)
-            succ = {}
-            for a, b in result:
-                succ.setdefault(a, []).append(b)
-            block_edges[block] = succ
-        moves.setdefault(src, []).append((block, dst))
-
-    pairs = set()
-    for u in g.nodes:
-        seen = {(u, 0)}
-        frontier = [(u, 0)]
-        if 0 in aut.finals:
-            pairs.add((u, u))
-        while frontier:
-            nxt = []
-            for node, q in frontier:
-                for block, q2 in moves.get(q, ()):
-                    for dst in block_edges[block].get(node, ()):
-                        if (dst, q2) not in seen:
-                            seen.add((dst, q2))
-                            nxt.append((dst, q2))
-                            if q2 in aut.finals:
-                                pairs.add((u, dst))
-            frontier = nxt
-    return pairs
-
-
-def _strat_eshape(e, g, adj, val, memo):
-    """Walk the acyclic automaton, binding graph edge values at BindRead
-    transitions and recursing into lower-F blocks at SubExpr transitions."""
+    A binding-free block is searched with its register NFA. Any other block
+    is walked over its hierarchical automaton: the plan maps each state to
+    its moves (label, free, dst), where ``free`` lists the sorted free
+    variables of a SubExpr's block and is None for a BindRead.
+    """
+    if E.classify(e).f_level == 0:
+        return _compiled(e)[1]
     aut = hier_automaton(e)
     moves = {}
     for src, label, dst in aut.sorted_transitions():
-        moves.setdefault(src, []).append((label, dst))
+        free = None if isinstance(label, BindRead) else sorted(E.free_vars(label.expr))
+        moves.setdefault(src, []).append((label, free, dst))
+    return moves, aut.finals
 
-    pairs = set()
-    for u in g.nodes:
-        key0 = (u, 0, _vkey(val))
-        seen = {key0: val}
-        frontier = [key0]
-        if 0 in aut.finals:
-            pairs.add((u, u))
-        while frontier:
-            nxt = []
-            for key in frontier:
-                node, q, vk = key
-                vcur = seen[key]
-                for label, q2 in moves.get(q, ()):
-                    if isinstance(label, BindRead):
-                        for _, letter, d, dst in adj[node]:
-                            if letter != label.letter:
-                                continue
+
+def _strat(e, adj, val, u, memo):
+    """The row of ``e`` at ``u``: the nodes that a path from ``u`` in its
+    language reaches under ``val``, which holds exactly its free variables.
+    Memoized in ``memo`` per (block, valuation, source)."""
+    key = (e, _vkey(val), u)
+    row = memo.get(key)
+    if row is not None:
+        return row
+    plan = _plan(e)
+    if isinstance(plan, RegisterNfa):
+        memo[key] = row = tuple(_search(plan, adj, val, u))
+        return row
+    moves, finals = plan
+    row = {u} if 0 in finals else set()
+    key0 = (u, 0, key[1])
+    seen = {key0: val}
+    frontier = [key0]
+    while frontier:
+        nxt = []
+        for cfg in frontier:
+            node, q, vk = cfg
+            vcur = seen[cfg]
+            for label, free, q2 in moves.get(q, ()):
+                if free is None:
+                    steps = []
+                    for _, letter, d, dst in adj[node]:
+                        if letter == label.letter:
                             v2 = {**vcur, label.var: d}
-                            k2 = (dst, q2, _vkey(v2))
-                            if k2 not in seen:
-                                seen[k2] = v2
-                                nxt.append(k2)
-                                if q2 in aut.finals:
-                                    pairs.add((u, dst))
-                    else:
-                        block = label.expr
-                        result = _strat(block, g, adj, _restricted(vcur, block), memo)
-                        for a, b in result:
-                            if a != node:
-                                continue
-                            k2 = (b, q2, vk)
-                            if k2 not in seen:
-                                seen[k2] = vcur
-                                nxt.append(k2)
-                                if q2 in aut.finals:
-                                    pairs.add((u, b))
-            frontier = nxt
-    return pairs
+                            steps.append(((dst, q2, _vkey(v2)), v2))
+                else:
+                    sub = {v: vcur[v] for v in free}
+                    steps = [((b, q2, vk), vcur) for b in _strat(label.expr, adj, sub, node, memo)]
+                for k2, v2 in steps:
+                    if k2 not in seen:
+                        seen[k2] = v2
+                        nxt.append(k2)
+                        if q2 in finals:
+                            row.add(k2[0])
+        frontier = nxt
+    memo[key] = row
+    return row
 
 
 # ---------------------------------------------------------------------------

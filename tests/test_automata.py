@@ -120,10 +120,16 @@ def test_register_nfa_guard_variables_are_free_or_binders():
 
 def test_register_nfa_index_matches_the_full_sort_key():
     # The destination fixes a transition's label, so sorting by (src, dst)
-    # alone must give every move list the order of the full key.
+    # alone must give every move list, and the hierarchical automaton's
+    # transition list, the order of the full key.
     rng = random.Random(21)
     for _ in range(300):
-        nfa = register_nfa(E.alpha_rename(random_expr(rng, 12, letters=("a", "b", "c"))))
+        renamed = E.alpha_rename(random_expr(rng, 12, letters=("a", "b", "c")))
+        aut = hier_automaton(renamed)
+        assert aut.sorted_transitions() == sorted(
+            aut.transitions, key=lambda t: (t[0], t[2], type(t[1]).__name__, repr(t[1]))
+        )
+        nfa = register_nfa(renamed)
         full = {}
         for src, letter, guard, store, dst in sorted(
             nfa.transitions, key=lambda t: (t[0], t[1], t[4], repr(t[2]), repr(t[3]))

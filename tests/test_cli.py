@@ -164,6 +164,10 @@ def test_gadget_pcp_commands(tmp_path):
                 "--i", "1"])[1].strip()
     verdict = run(["member", "--expr", "@" + str(expr_file), "--word", word, "--any"])[1]
     assert verdict == "false\n"
+    # the missing output file is reported before the delta is built, which
+    # here would exceed the subset construction's state budget
+    code, out, err = run(["gadget", "pcp-delta", "--pairs", "a" * 70 + "/b", "--i", "1"])
+    assert code == 1 and out == "" and "pcp-delta needs --out-expr" in err
 
 
 def test_selftest_reports_ok():

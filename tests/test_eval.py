@@ -20,7 +20,7 @@ from rewb.evaluate import (
     witness_path,
 )
 from rewb.randgen import random_expr, random_graph, random_valuation, random_word
-from rewb.syntax import parse_expr, parse_word
+from rewb.syntax import parse_expr, parse_word, print_expr
 
 from oracles import brute_pairs
 
@@ -65,6 +65,46 @@ def test_eval_stratified_agrees_on_the_flat_examples():
     assert eval_stratified(parse_expr("a[x=]"), g, {"x": "7"}) == set()
     g2 = graph([("u", "a", "5", "v"), ("v", "b", "5", "w"), ("v", "b", "7", "w2")])
     assert eval_stratified(parse_expr("a@x(b[x=])"), g2, {}) == {("u", "w")}
+
+
+def test_stratified_blocks_are_searched_only_from_reached_sources(monkeypatch):
+    import rewb.evaluate as ev
+
+    starts = []
+    search = ev._search
+
+    def counting(nfa, adj, val, start, *args, **kwargs):
+        starts.append(start)
+        return search(nfa, adj, val, start, *args, **kwargs)
+
+    monkeypatch.setattr(ev, "_search", counting)
+    g = graph(
+        [("u", "a", "1", "v"), ("v", "b", "1", "w"), ("v", "b", "2", "w2")],
+        nodes=[f"i{k}" for k in range(10)],
+    )
+    assert len(g.nodes) == 14
+    assert eval_stratified(parse_expr("a@x(b[x=])"), g, {}) == {("u", "w")}
+    assert starts == ["v"]
+
+
+def test_stratified_agrees_with_flat_on_three_letters_and_variables():
+    rng = random.Random(61)
+    shapes = set()
+    for _ in range(300):
+        e = random_expr(rng, 10, letters=("a", "b", "c"), variables=("x", "y", "z"), max_e_level=3)
+        g = random_graph(rng, max_nodes=6, max_edges=14, letters=("a", "b", "c"))
+        val = random_valuation(rng, sorted(E.free_vars(e)), sorted(g.data_values()))
+        assert eval_stratified(e, g, val) == eval_flat(e, g, val), print_expr(e)
+        level = E.classify(e)
+        if level.f_level == 0:
+            shapes.add("level-0")
+        elif level.e_level == level.f_level:
+            shapes.add("E-shaped")
+        else:
+            shapes.add("F-shaped")
+        if (level.f_level, level.e_level) in ((2, 3), (3, 3)):
+            shapes.add("E-level 3")
+    assert shapes == {"level-0", "E-shaped", "F-shaped", "E-level 3"}
 
 
 def test_eval_stratified_on_iterated_binding_cycle():
