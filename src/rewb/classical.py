@@ -62,23 +62,13 @@ def complement_regex(e: E.Rewb, alphabet, state_budget: int = 64, node_budget: i
 
 def _eliminate(transitions, finals, n_states, alphabet, node_budget):
     """Generalized-NFA state elimination; None stands for the empty regex."""
-    sizes = {}
-
-    def size(x):
-        if x is None:
-            return 0
-        if id(x) not in sizes:
-            sizes[id(x)] = E.size(x)
-        return sizes[id(x)]
 
     def union(a, b):
         if a is None:
             return b
         if b is None:
             return a
-        out = E.Union(a, b)
-        sizes[id(out)] = size(a) + size(b) + 1
-        return out
+        return E.Union(a, b)
 
     def concat(a, b):
         if a is None or b is None:
@@ -87,18 +77,14 @@ def _eliminate(transitions, finals, n_states, alphabet, node_budget):
             return b
         if isinstance(b, E.Eps):
             return a
-        out = E.Concat(a, b)
-        sizes[id(out)] = size(a) + size(b) + 1
-        return out
+        return E.Concat(a, b)
 
     def star(a):
         if a is None or isinstance(a, E.Eps):
             return E.EPS
         if isinstance(a, E.Star):
             return a
-        out = E.Star(a)
-        sizes[id(out)] = size(a) + 1
-        return out
+        return E.Star(a)
 
     init, fin = "I", "F"
     arrows = {}
@@ -107,7 +93,7 @@ def _eliminate(transitions, finals, n_states, alphabet, node_budget):
         if piece is None:
             return
         arrows[(src, dst)] = union(arrows.get((src, dst)), piece)
-        if size(arrows[(src, dst)]) > node_budget:
+        if arrows[(src, dst)].size > node_budget:
             raise BudgetError(f"state elimination exceeded {node_budget} regex nodes")
 
     add(init, 0, E.EPS)

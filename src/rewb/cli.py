@@ -84,21 +84,33 @@ def _cmd_classify(args):
     return 0
 
 
+def _reject(clash, first, second):
+    if clash:
+        raise ValidationError(f"{first} cannot be used with {second}")
+
+
 def _cmd_member(args):
+    _reject(args.any and args.val is not None, "--any", "--val")
     e = _expr_arg(args.expr)
     w = parse_word(args.word)
     if args.any:
         result = member_any(e, w)
     else:
-        result = member(e, w, parse_valuation(args.val))
+        result = member(e, w, parse_valuation(args.val or ""))
     print("true" if result else "false")
     return 0
 
 
 def _cmd_eval(args):
+    engine = f"--engine {args.engine}"
+    _reject(args.any and args.val is not None, "--any", "--val")
+    _reject(args.any and args.engine != "flat", "--any", engine)
+    _reject(args.witness and args.any, "--witness", "--any")
+    _reject(args.witness and args.engine != "flat", "--witness", engine)
+    _reject(args.max_len is not None and args.engine != "oracle", "--max-len", engine)
     e = _expr_arg(args.expr)
     g = _graph_arg(args.graph)
-    val = parse_valuation(args.val)
+    val = parse_valuation(args.val or "")
     if args.witness and (args.source is None or args.target is None):
         raise ValidationError("--witness needs --from and --to")
     if (args.source is None) != (args.target is None):
@@ -286,14 +298,14 @@ def _build_parser():
     p = sub.add_parser("member", help="data word membership")
     p.add_argument("--expr", required=True)
     p.add_argument("--word", required=True)
-    p.add_argument("--val", default="")
+    p.add_argument("--val")
     p.add_argument("--any", action="store_true")
     p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser("eval", help="evaluate a query on a data graph")
     p.add_argument("--expr", required=True)
     p.add_argument("--graph", required=True)
-    p.add_argument("--val", default="")
+    p.add_argument("--val")
     p.add_argument("--any", action="store_true")
     p.add_argument("--engine", choices=("flat", "stratified", "oracle"), default="flat")
     p.add_argument("--max-len", type=int, default=None)

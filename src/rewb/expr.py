@@ -20,16 +20,19 @@ F-side adds stars over the E-side, the E-side adds bindings over the
 previous F-side. Binding-free expressions sit at F-level 0; E-levels start
 at 1.
 
-Expression nodes hash on first use and keep the hash, so caches keyed by
-trees walk each tree once. ``satisfies`` interprets a condition over a dict
-valuation (the reference semantics); ``compile_cond`` turns it into a
-closure over a register tuple with one slot per variable.
+Expression nodes are hash-consed: equal trees are one object, so equality
+is identity, hashing costs O(1) and caches keyed by trees never walk them.
+Each node carries its level and size, computed once when it is first
+made. ``satisfies`` interprets a condition over a dict valuation (the
+reference semantics); ``compile_cond`` turns it into a closure over a
+register tuple with one slot per variable.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 
 from .errors import UndefinedVariableError, ValidationError
 
@@ -156,74 +159,121 @@ def or_all(conds: list) -> Condition:
 
 
 # ---------------------------------------------------------------------------
+# Level classification
+
+
+@dataclass(frozen=True, slots=True)
+class Level:
+    f_level: int
+    e_level: int
+
+    def as_tuple(self):
+        return (self.f_level, self.e_level)
+
+
+def classify(e: Rewb) -> Level:
+    """Minimal F- and E-levels of ``e`` in the iterated-binding hierarchy,
+    which each node holds from when it was made (see ``_measure``)."""
+    return e.level
+
+
+def _measure(node):
+    """(F-level, E-level, size) of a new node, from its children's.
+
+    A pure-F rank Fr (how the F-grammar produces a node directly) and a
+    pure-E rank Er give f = min(Fr, Er) and e = min(Er, Fr + 1), as
+    membership is monotone across levels. Letters have Fr = 0 and no Er,
+    stars their body's Fr and no Er, binders their body's Er and no Fr, and
+    union and concatenation the larger ranks of their sides; as
+    f <= e <= f + 1 holds at every child, this comes to the cases below.
+    Validated against a grammar-derivation search in the test suite.
+    """
+    if isinstance(node, (Union, Concat)):
+        left, right = node.left, node.right
+        f = max(left.level.f_level, right.level.f_level)
+        e = min(max(left.level.e_level, right.level.e_level), f + 1)
+        return f, e, left.size + right.size + 1
+    if isinstance(node, Star):
+        f = node.body.level.f_level
+        return f, f + 1, node.body.size + 1
+    if isinstance(node, Bind):
+        e = node.body.level.e_level
+        return e, e, node.body.size + 1
+    return 0, 1, 1
+
+
+# ---------------------------------------------------------------------------
 # Expressions
 
 
-def _node(cls):
-    """Make ``cls`` a frozen dataclass whose hash is computed once, on first use.
+class _Node:
+    """Base of the node kinds, each listing its fields in ``__match_args__``.
 
-    The generated hash walks the whole subtree, which caches keyed by
-    expressions would pay on every lookup. The kept hash stays out of
-    equality, repr and pickles (which may be loaded under another hash seed).
+    Nodes are hash-consed in a weak table keyed by kind and fields, children
+    by identity: building a node equal to a live one returns that node, so
+    equality is identity and hashing costs O(1). Level and size are computed
+    from the children's when a node is first made. Pickles carry the fields
+    only, so loading one re-interns.
     """
-    cls.__annotations__["_hash"] = int
-    cls._hash = field(default=None, init=False, repr=False, compare=False)
-    cls = dataclass(frozen=True, slots=True)(cls)
-    walk = cls.__hash__
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = walk(self)
-            object.__setattr__(self, "_hash", h)
-        return h
+    __slots__ = ("level", "size", "__weakref__")
+    __match_args__ = ()
+    _table = weakref.WeakValueDictionary()
 
-    cls.__hash__ = __hash__
-    cls.__reduce__ = lambda self: (type(self), tuple(getattr(self, f) for f in self.__match_args__))
-    return cls
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _Node._table.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields, strict=True):
+                object.__setattr__(node, name, value)
+            f, e, n = _measure(node)
+            object.__setattr__(node, "level", Level(f, e))
+            object.__setattr__(node, "size", n)
+            _Node._table[key] = node
+        return node
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
 
-@_node
-class Eps:
-    pass
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
-
-@_node
-class Atom:
-    letter: Letter
-
-
-@_node
-class Test:
-    letter: Letter
-    cond: Condition
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
 
 
-@_node
-class Union:
-    left: "Rewb"
-    right: "Rewb"
+class Eps(_Node):
+    __slots__ = ()
 
 
-@_node
-class Concat:
-    left: "Rewb"
-    right: "Rewb"
+class Atom(_Node):
+    __slots__ = __match_args__ = ("letter",)
 
 
-@_node
-class Star:
-    body: "Rewb"
+class Test(_Node):
+    __slots__ = __match_args__ = ("letter", "cond")
 
 
-@_node
-class Bind:
-    letter: Letter
-    var: Var
-    body: "Rewb"
+class Union(_Node):
+    __slots__ = __match_args__ = ("left", "right")
+
+
+class Concat(_Node):
+    __slots__ = __match_args__ = ("left", "right")
+
+
+class Star(_Node):
+    __slots__ = __match_args__ = ("body",)
+
+
+class Bind(_Node):
+    __slots__ = __match_args__ = ("letter", "var", "body")
 
 
 Rewb = Eps | Atom | Test | Union | Concat | Star | Bind
+
 
 EPS = Eps()
 
@@ -246,8 +296,8 @@ def subexpressions(e: Rewb):
 
 
 def size(e: Rewb) -> int:
-    """Number of AST nodes."""
-    return sum(1 for _ in subexpressions(e))
+    """Number of AST nodes, a node shared by several parents counted for each."""
+    return e.size
 
 
 def conditions_in(e: Rewb) -> list[Condition]:
@@ -344,53 +394,6 @@ def alpha_rename(e: Rewb) -> Rewb:
         return Bind(node.letter, new, walk(node.body, {**env, node.var: new}))
 
     return walk(e, {})
-
-
-# ---------------------------------------------------------------------------
-# Level classification
-
-_INF = float("inf")
-
-
-@dataclass(frozen=True, slots=True)
-class Level:
-    f_level: int
-    e_level: int
-
-    def as_tuple(self):
-        return (self.f_level, self.e_level)
-
-
-def classify(e: Rewb) -> Level:
-    """Minimal F- and E-levels of ``e`` in the iterated-binding hierarchy.
-
-    Bottom-up: each node gets a pure-F rank (how it can be produced by the
-    F-grammar directly) and a pure-E rank (by the E-grammar directly);
-    membership is monotone across levels, so the minima combine as
-    f = min(Fr, Er) and e = min(Er, Fr + 1). Atoms have Fr = 0; stars kill
-    the E rank; binders kill the F rank. Validated against an exhaustive
-    grammar-derivation search in the test suite.
-    """
-    f, ee = _levels(e)
-    return Level(f, ee)
-
-
-def _levels(e: Rewb):
-    if isinstance(e, (Eps, Atom, Test)):
-        fr, er = 0, _INF
-    elif isinstance(e, (Union, Concat)):
-        lf, le = _levels(e.left)
-        rf, re_ = _levels(e.right)
-        fr, er = max(lf, rf), max(le, re_)
-    elif isinstance(e, Star):
-        bf, _ = _levels(e.body)
-        fr, er = bf, _INF
-    else:
-        _, be = _levels(e.body)
-        fr, er = _INF, be
-    f = min(fr, er)
-    ee = min(er, fr + 1)
-    return int(f), int(ee)
 
 
 # ---------------------------------------------------------------------------

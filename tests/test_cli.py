@@ -79,6 +79,30 @@ def test_eval_from_to_and_witness(tmp_path):
         assert code == 1 and "--from and --to must be given together" in err
 
 
+@pytest.mark.parametrize("flags, first, second", [
+    (["--any", "--val", "x=9"], "--any", "--val"),
+    (["--any", "--engine", "stratified"], "--any", "--engine stratified"),
+    (["--any", "--engine", "oracle"], "--any", "--engine oracle"),
+    (["--witness", "--any", "--from", "u", "--to", "v"], "--witness", "--any"),
+    (["--witness", "--engine", "stratified", "--from", "u", "--to", "v"],
+     "--witness", "--engine stratified"),
+    (["--witness", "--engine", "oracle", "--from", "u", "--to", "v"],
+     "--witness", "--engine oracle"),
+    (["--max-len", "0"], "--max-len", "--engine flat"),
+    (["--max-len", "0", "--engine", "stratified"], "--max-len", "--engine stratified"),
+])
+def test_eval_rejects_options_it_would_ignore(tmp_path, flags, first, second):
+    graph_file = tmp_path / "g.graph"
+    graph_file.write_text("edge u a 5 v\n", encoding="utf-8")
+    code, out, err = run(["eval", "--expr", "a[x=]", "--graph", str(graph_file)] + flags)
+    assert code == 1 and out == "" and first in err and second in err
+
+
+def test_member_rejects_any_with_val():
+    code, out, err = run(["member", "--expr", "a[x=]", "--word", "a:5", "--any", "--val", "x=9"])
+    assert code == 1 and out == "" and "--any" in err and "--val" in err
+
+
 def test_eval_oracle_budget_exit_code(tmp_path):
     graph_file = tmp_path / "g.graph"
     graph_file.write_text(

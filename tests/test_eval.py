@@ -335,3 +335,16 @@ def test_an_equal_fresh_tree_hits_the_compile_cache():
     hits = _compiled.cache_info().hits
     assert _compiled(parse_expr(text)) is first
     assert _compiled.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("op, shift, word_len", [(".", 700, 700), ("+", 1, 1)])
+def test_engines_on_seven_hundred_letters(op, shift, word_len):
+    # a 700-letter concatenation or union over a three-node cycle of a-edges
+    e = parse_expr(op.join("a" * 700))
+    nodes = ["c0", "c1", "c2"]
+    g = graph([(nodes[i], "a", "1", nodes[(i + 1) % 3]) for i in range(3)])
+    expected = {(nodes[i], nodes[(i + shift) % 3]) for i in range(3)}
+    assert member(e, [("a", "1")] * word_len)
+    assert not member(e, [("a", "1")] * (word_len + 1))
+    assert eval_flat(e, g) == expected
+    assert eval_stratified(e, g) == expected

@@ -1,7 +1,10 @@
 """Core expression operations: free variables, renaming, levels, UNF."""
 
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -209,10 +212,44 @@ def test_compiled_condition_short_cuts_like_satisfies():
 def test_equal_trees_hash_equal_and_kinds_stay_apart():
     text = "(a@x((b[x!=])*.a[x=]))*+c[y=]"
     first, second = parse_expr(text), parse_expr(text)
-    assert first is not second
+    assert first is second
     assert hash(first) == hash(second) and first == second
-    # A pickle may be loaded under another hash seed, so it carries no hash.
     copied = pickle.loads(pickle.dumps(first))
-    assert copied == first and copied._hash is None and hash(copied) == hash(first)
+    assert copied == first and hash(copied) == hash(first)
     left, right = parse_expr("a"), parse_expr("b[x=]")
     assert E.Union(left, right) != E.Concat(left, right)
+
+
+def test_a_pickle_loaded_under_another_hash_seed_is_the_parsed_node(tmp_path):
+    text = "(a@x((b[x!=])*.a[x=]))*+c[y=]"
+    dump = tmp_path / "tree.pickle"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+
+    def run(seed, script):
+        subprocess.run([sys.executable, "-c", script], check=True,
+                       env={**env, "PYTHONHASHSEED": seed})
+
+    run("1", f"import pickle, rewb; open({str(dump)!r}, 'wb').write("
+             f"pickle.dumps(rewb.parse_expr({text!r})))")
+    run("2", f"import pickle, rewb; e = rewb.parse_expr({text!r}); "
+             f"assert pickle.loads(open({str(dump)!r}, 'rb').read()) is e")
+
+
+def _deep(op, n):
+    return parse_expr(op.join("a" * n))
+
+
+@pytest.mark.parametrize("op", [".", "+"])
+def test_level_size_hash_and_equality_at_ten_thousand_letters(op):
+    e = _deep(op, 10_000)
+    assert classify(e).as_tuple() == (0, 1)
+    assert E.size(e) == 19_999
+    assert hash(e) == hash(_deep(op, 10_000)) and e == _deep(op, 10_000)
+    assert e != _deep(op, 9_999)
+
+
+def test_nodes_are_immutable():
+    e = parse_expr("a.b")
+    with pytest.raises(AttributeError):
+        e.left = parse_expr("c")
+    assert print_expr(e) == "a.b"
