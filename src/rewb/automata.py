@@ -75,36 +75,38 @@ def _src_dst(t):
 class RegisterNfa:
     """Position automaton over letter occurrences with guards and stores.
 
-    State 0 is initial; occurrence ``i`` is state ``i + 1``. Transitions
-    are (src, letter, guard, store, dst) with ``guard`` a Condition or
-    None (always true) and ``store`` a variable or None.
+    State 0 is initial; occurrence ``i`` is state ``i + 1`` with label
+    ``labels[i]`` = (letter, guard, store), ``guard`` a Condition or None
+    (always true) and ``store`` a variable or None. ``arcs`` are the sorted
+    (src, dst) pairs and ``transitions`` the (src, letter, guard, store, dst)
+    tuple in their order.
 
     Registers are a tuple with one slot per variable of ``slots``.
     ``moves`` returns entries (guard, store, dst, test, slot): ``test`` is
     the guard compiled over registers, ``slot`` the store's index (each
-    None where the guard or store is).
+    None where the guard or store is). All arcs into a position share its
+    one entry.
     """
 
-    def __init__(self, n_states, finals, transitions):
-        self.states = frozenset(range(n_states))
+    def __init__(self, labels, finals, arcs):
+        self.states = frozenset(range(len(labels) + 1))
         self.initial = 0
         self.finals = frozenset(finals)
-        self.transitions = frozenset(transitions)
-        order = sorted(self.transitions, key=_src_dst)
-        # The transitions into a position all carry its label, so they share
-        # one index entry, with the guard compiled once.
-        labels = {t[4]: t for t in order}
-        names = {store for _, _, _, store, _ in labels.values() if store is not None}
-        names.update(*(E.cond_vars(guard) for _, _, guard, _, _ in labels.values() if guard))
+        names = {store for _, _, store in labels if store is not None}
+        names.update(*(E.cond_vars(guard) for _, guard, _ in labels if guard))
         self.slots = tuple(sorted(names))
         slot = {var: i for i, var in enumerate(self.slots)}
-        entries = {
-            dst: (guard, store, dst, guard and E.compile_cond(guard, slot), slot.get(store))
-            for dst, (_, _, guard, store, _) in labels.items()
-        }
+        entries = [
+            (guard, store, dst, guard and E.compile_cond(guard, slot), slot.get(store))
+            for dst, (_, guard, store) in enumerate(labels, start=1)
+        ]
+        transitions = []
         index = {}
-        for src, letter, _, _, dst in order:
-            index.setdefault((src, letter), []).append(entries[dst])
+        for src, dst in arcs:
+            letter, guard, store = labels[dst - 1]
+            transitions.append((src, letter, guard, store, dst))
+            index.setdefault((src, letter), []).append(entries[dst - 1])
+        self.transitions = tuple(transitions)
         self._index = index
 
     def moves(self, state, letter):
@@ -112,7 +114,7 @@ class RegisterNfa:
 
 
 def _require_well_named(e):
-    if not E.is_well_named(e):
+    if not e.well_named:
         raise ValidationError(
             "expression is not alpha-renamed: binder names must be pairwise "
             "distinct and disjoint from the free variables"
@@ -126,8 +128,9 @@ def _glushkov(e, leaf, head=None):
     to look inside it. A binder looked inside reads its head letter as one
     position labelled ``head(node)``, then its body. Positions are numbered
     left to right; state 0 is initial and position ``i`` is state ``i + 1``.
-    Returns the number of states, the final states, and an iterator that
-    yields each transition (src, label, dst) once.
+    Returns the list of position labels, the final states, and the list of
+    transitions as (src, dst) pairs, each once and in sorted order; the
+    label of a transition is that of its destination.
     """
     labels = []
     follow = []  # follow[p]: positions that may come right after position p
@@ -172,14 +175,10 @@ def _glushkov(e, leaf, head=None):
     if nullable:
         finals.add(0)
 
-    def transitions():
-        for q in first:
-            yield 0, labels[q], q + 1
-        for p, succs in enumerate(follow):
-            for q in succs:
-                yield p + 1, labels[q], q + 1
-
-    return len(labels) + 1, finals, transitions()
+    arcs = [(0, q + 1) for q in sorted(first)]
+    for p, succs in enumerate(follow, start=1):
+        arcs.extend((p, q + 1) for q in sorted(succs))
+    return labels, finals, arcs
 
 
 def register_nfa(e: E.Rewb) -> RegisterNfa:
@@ -193,8 +192,7 @@ def register_nfa(e: E.Rewb) -> RegisterNfa:
             return node.letter, node.cond, None
         return None
 
-    n_states, finals, transitions = _glushkov(e, leaf, lambda node: (node.letter, None, node.var))
-    return RegisterNfa(n_states, finals, ((src, *label, dst) for src, label, dst in transitions))
+    return RegisterNfa(*_glushkov(e, leaf, lambda node: (node.letter, None, node.var)))
 
 
 def hier_automaton(e: E.Rewb) -> HierAutomaton:
@@ -231,12 +229,12 @@ def hier_automaton(e: E.Rewb) -> HierAutomaton:
         def leaf(node):
             return SubExpr(node) if E.classify(node).e_level <= block_cut else None
 
-    n_states, finals, transitions = _glushkov(e, leaf, head)
+    labels, finals, arcs = _glushkov(e, leaf, head)
     return HierAutomaton(
-        frozenset(range(n_states)),
+        frozenset(range(len(labels) + 1)),
         frozenset((0,)),
         frozenset(finals),
-        frozenset(transitions),
+        frozenset((src, labels[dst - 1], dst) for src, dst in arcs),
     )
 
 

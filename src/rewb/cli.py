@@ -69,7 +69,7 @@ def _cmd_parse(args):
         print(repr(e))
         dumped = True
     if args.dump_automaton:
-        sys.stdout.write(dump_automaton(E.alpha_rename(e)))
+        sys.stdout.write(dump_automaton(e if args.rename else E.alpha_rename(e)))
         dumped = True
     if not dumped:
         print(print_expr(e))

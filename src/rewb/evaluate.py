@@ -37,10 +37,12 @@ other:
   n the node count and i the expression's E-level; the number of explored
   prefix classes is capped by a configurable budget.
 
-Every entry point takes an expression's free variables and register NFA
-from one cached compile step (``_compiled``). Expressions with free
-variables are evaluated under an explicit valuation covering them
-("compatible"); the ``*_any`` variants close them off by
+Every entry point reads an expression's free variables from its node
+(``free``) and takes its register NFA from one cached compile step
+(``_compiled``), which renames the expression once and builds the NFA
+from the position construction's transitions as they come. Expressions
+with free variables are evaluated under an explicit valuation covering
+them ("compatible"); the ``*_any`` variants close them off by
 enumerating input data values plus one shared fresh value, which suffices
 because conditions only compare a variable against the current letter's
 value, never variables against each other.
@@ -76,15 +78,14 @@ def _check_covers(free, val):
 
 @lru_cache(maxsize=256)
 def _compiled(e):
-    """Free variables and register NFA of ``e``; a cached call hashes ``e`` in O(1)."""
-    return frozenset(E.free_vars(e)), register_nfa(E.alpha_rename(e))
+    """Register NFA of the renaming of ``e``; a cached call hashes ``e`` in O(1)."""
+    return register_nfa(E.alpha_rename(e))
 
 
 def _checked_nfa(e, val):
     """The register NFA of ``e``, once ``val`` is known to cover its free variables."""
-    free, nfa = _compiled(e)
-    _check_covers(free, val)
-    return nfa
+    _check_covers(e.free, val)
+    return _compiled(e)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +128,8 @@ def _closing_valuations(free, values):
 
 def member_any(e: E.Rewb, w: DataWord) -> bool:
     """Is ``w`` in the language of ``e`` under some compatible valuation?"""
-    free, nfa = _compiled(e)
-    return any(_member(nfa, w, val) for val in _closing_valuations(free, word_values(w)))
+    nfa = _compiled(e)
+    return any(_member(nfa, w, val) for val in _closing_valuations(e.free, word_values(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +211,10 @@ def connected(e: E.Rewb, g: DataGraph, val, u, v) -> bool:
 
 def eval_any(e: E.Rewb, g: DataGraph) -> set:
     """Union of eval_flat over all closing valuations of the free variables."""
-    free, nfa = _compiled(e)
+    nfa = _compiled(e)
     adj = g.out_edges()
     pairs = set()
-    for val in _closing_valuations(free, g.data_values()):
+    for val in _closing_valuations(e.free, g.data_values()):
         pairs |= _all_pairs(nfa, g.nodes, adj, val)
     return pairs
 
@@ -247,11 +248,10 @@ def witness_path(e: E.Rewb, g: DataGraph, val, u, v):
 def eval_stratified(e: E.Rewb, g: DataGraph, val=None) -> set:
     """Per-level evaluation; same result set as eval_flat."""
     val = dict(val or {})
+    _check_covers(e.free, val)
     renamed = E.alpha_rename(e)
-    free = E.free_vars(renamed)
-    _check_covers(free, val)
     adj = g.out_edges()
-    val = {v: val[v] for v in free}
+    val = {v: val[v] for v in e.free}
     memo = {}
     return {(u, v) for u in g.nodes for v in _strat(renamed, adj, val, u, memo)}
 
@@ -266,11 +266,11 @@ def _plan(e):
     variables of a SubExpr's block and is None for a BindRead.
     """
     if E.classify(e).f_level == 0:
-        return _compiled(e)[1]
+        return _compiled(e)
     aut = hier_automaton(e)
     moves = {}
     for src, label, dst in aut.sorted_transitions():
-        free = None if isinstance(label, BindRead) else sorted(E.free_vars(label.expr))
+        free = None if isinstance(label, BindRead) else sorted(label.expr.free)
         moves.setdefault(src, []).append((label, free, dst))
     return moves, aut.finals
 

@@ -22,8 +22,9 @@ at 1.
 
 Expression nodes are hash-consed: equal trees are one object, so equality
 is identity, hashing costs O(1) and caches keyed by trees never walk them.
-Each node carries its level and size, computed once when it is first
-made. ``satisfies`` interprets a condition over a dict valuation (the
+Each node carries its level, size, free variables, binder names and
+whether it is well-named, computed once from its children's when it is
+first made. ``satisfies`` interprets a condition over a dict valuation (the
 reference semantics); ``compile_cond`` turns it into a closure over a
 register tuple with one slot per variable.
 """
@@ -177,8 +178,16 @@ def classify(e: Rewb) -> Level:
     return e.level
 
 
+_EMPTY = frozenset()
+
+
+def _join(a, b):
+    # A union that reuses a side when the other adds nothing to it.
+    return a | b if a and b and not b <= a else a or b
+
+
 def _measure(node):
-    """(F-level, E-level, size) of a new node, from its children's.
+    """(level, size, free, bound, well_named) of a new node, from its children's.
 
     A pure-F rank Fr (how the F-grammar produces a node directly) and a
     pure-E rank Er give f = min(Fr, Er) and e = min(Er, Fr + 1), as
@@ -187,19 +196,32 @@ def _measure(node):
     union and concatenation the larger ranks of their sides; as
     f <= e <= f + 1 holds at every child, this comes to the cases below.
     Validated against a grammar-derivation search in the test suite.
+
+    ``free`` and ``bound`` are the free variables and the binder names. A
+    binder is well-named if its body is and does not bind its name again; a
+    union or concatenation if both sides are, bind no name in common, and
+    bind no name that is free in the whole.
     """
     if isinstance(node, (Union, Concat)):
         left, right = node.left, node.right
         f = max(left.level.f_level, right.level.f_level)
         e = min(max(left.level.e_level, right.level.e_level), f + 1)
-        return f, e, left.size + right.size + 1
+        free, bound = _join(left.free, right.free), _join(left.bound, right.bound)
+        well_named = (left.well_named and right.well_named
+                      and left.bound.isdisjoint(right.bound) and bound.isdisjoint(free))
+        return Level(f, e), left.size + right.size + 1, free, bound, well_named
     if isinstance(node, Star):
-        f = node.body.level.f_level
-        return f, f + 1, node.body.size + 1
+        body = node.body
+        f = body.level.f_level
+        return Level(f, f + 1), body.size + 1, body.free, body.bound, body.well_named
     if isinstance(node, Bind):
-        e = node.body.level.e_level
-        return e, e, node.body.size + 1
-    return 0, 1, 1
+        body, var = node.body, node.var
+        e = body.level.e_level
+        free = body.free - {var} if var in body.free else body.free
+        well_named = body.well_named and var not in body.bound
+        return Level(e, e), body.size + 1, free, body.bound | {var}, well_named
+    free = frozenset(cond_vars(node.cond)) if isinstance(node, Test) else _EMPTY
+    return Level(0, 1), 1, free, _EMPTY, True
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +233,12 @@ class _Node:
 
     Nodes are hash-consed in a weak table keyed by kind and fields, children
     by identity: building a node equal to a live one returns that node, so
-    equality is identity and hashing costs O(1). Level and size are computed
-    from the children's when a node is first made. Pickles carry the fields
-    only, so loading one re-interns.
+    equality is identity and hashing costs O(1). The fields of ``_measure``
+    are computed from the children's when a node is first made. Pickles
+    carry the fields only, so loading one re-interns.
     """
 
-    __slots__ = ("level", "size", "__weakref__")
+    __slots__ = ("level", "size", "free", "bound", "well_named", "__weakref__")
     __match_args__ = ()
     _table = weakref.WeakValueDictionary()
 
@@ -227,9 +249,9 @@ class _Node:
             node = object.__new__(cls)
             for name, value in zip(cls.__match_args__, fields, strict=True):
                 object.__setattr__(node, name, value)
-            f, e, n = _measure(node)
-            object.__setattr__(node, "level", Level(f, e))
-            object.__setattr__(node, "size", n)
+            # _measure returns its fields in the order of __slots__.
+            for name, value in zip(_Node.__slots__, _measure(node)):
+                object.__setattr__(node, name, value)
             _Node._table[key] = node
         return node
 
@@ -305,21 +327,9 @@ def conditions_in(e: Rewb) -> list[Condition]:
     return [n.cond for n in subexpressions(e) if isinstance(n, Test)]
 
 
-def free_vars(e: Rewb) -> set[Var]:
+def free_vars(e: Rewb) -> frozenset[Var]:
     """Variables with a condition occurrence not under a binder of that name."""
-    out: set[Var] = set()
-
-    def walk(node, bound):
-        if isinstance(node, Test):
-            out.update(cond_vars(node.cond) - bound)
-        elif isinstance(node, Bind):
-            walk(node.body, bound | {node.var})
-        else:
-            for c in children(node):
-                walk(c, bound)
-
-    walk(e, frozenset())
-    return out
+    return e.free
 
 
 def binder_vars(e: Rewb) -> list[Var]:
@@ -327,13 +337,9 @@ def binder_vars(e: Rewb) -> list[Var]:
     return [n.var for n in subexpressions(e) if isinstance(n, Bind)]
 
 
-def all_vars(e: Rewb) -> set[Var]:
+def all_vars(e: Rewb) -> frozenset[Var]:
     """Every variable occurring in ``e``, free or bound."""
-    out = free_vars(e)
-    out.update(binder_vars(e))
-    for c in conditions_in(e):
-        out.update(cond_vars(c))
-    return out
+    return e.free | e.bound
 
 
 def letters_in(e: Rewb) -> set[Letter]:
@@ -342,8 +348,7 @@ def letters_in(e: Rewb) -> set[Letter]:
 
 def is_well_named(e: Rewb) -> bool:
     """Binder names pairwise distinct and disjoint from the free variables."""
-    binders = binder_vars(e)
-    return len(binders) == len(set(binders)) and not (set(binders) & free_vars(e))
+    return e.well_named
 
 
 def alpha_rename(e: Rewb) -> Rewb:
@@ -355,7 +360,7 @@ def alpha_rename(e: Rewb) -> Rewb:
     would collide with a free variable). Free occurrences are untouched,
     so membership is preserved for every compatible valuation.
     """
-    free = free_vars(e)
+    free = e.free
     counter = 0
 
     def fresh(base):
@@ -439,7 +444,7 @@ def indistinguishable_sampled(e: Rewb, vars: list[Var], trials: int, seed: int) 
     ``vars``; returns False on the first disagreement. True only means no
     counterexample was found, not a proof.
     """
-    missing = set(vars) - free_vars(e)
+    missing = set(vars) - e.free
     if missing:
         raise ValidationError(f"not free in the expression: {sorted(missing)}")
     conds = conditions_in(e)

@@ -216,7 +216,7 @@ class GadgetOutput:
 
 
 def _output(g, expr):
-    return GadgetOutput(g, expr, tuple(sorted(E.free_vars(expr))))
+    return GadgetOutput(g, expr, tuple(sorted(expr.free)))
 
 
 def union_all(parts) -> E.Rewb:
@@ -359,8 +359,7 @@ def exists_compose(k: int, atoms, g: DataGraph, e: E.Rewb, *, letter: str = "a1"
     variables = list(variables) if variables is not None else [f"x_{j}" for j in range(1, k + 1)]
     if len(variables) != k:
         raise ValidationError("need exactly k variables")
-    bound = set(E.binder_vars(e))
-    if bound & set(variables):
+    if not e.bound.isdisjoint(variables):
         raise ValidationError("composition variables must not be bound inside the expression")
     if not trusted and not E.indistinguishable_sampled(e, variables, trials=200, seed=0):
         raise ValidationError(
@@ -410,8 +409,7 @@ def forall_compose(k: int, atoms, g: DataGraph, e: E.Rewb, *, skip_letter: str =
     clash = taken & set(introduced)
     if clash:
         raise ValidationError(f"letters already used by the inner gadget: {sorted(clash)}")
-    bound = set(E.binder_vars(e))
-    if bound & set(variables):
+    if not e.bound.isdisjoint(variables):
         raise ValidationError("composition variables must not be bound inside the expression")
 
     used = set(g.nodes)

@@ -328,8 +328,7 @@ def print_word(w: DataWord) -> str:
 def parse_graph(text: str) -> DataGraph:
     nodes = set()
     edges = set()
-    source = None
-    sink = None
+    ends = {}  # "source"/"sink" -> (node id, line)
     for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -354,17 +353,15 @@ def parse_graph(text: str) -> DataGraph:
         elif kind in ("source", "sink"):
             if len(fields) != 2:
                 raise SourceError(f"{kind} takes exactly one id", lineno, 1)
-            if (kind == "source" and source is not None) or (kind == "sink" and sink is not None):
+            if kind in ends:
                 raise SourceError(f"duplicate {kind} line", lineno, 1)
-            if kind == "source":
-                source = fields[1]
-            else:
-                sink = fields[1]
+            ends[kind] = _graph_token(fields[1], "node id", lineno), lineno
         else:
             raise SourceError(f"unknown directive {kind!r}", lineno, 1)
-    for name, node in (("source", source), ("sink", sink)):
-        if node is not None and node not in nodes:
-            raise SourceError(f"{name} names an undeclared node: {node}", 1, 1)
+    for kind, (node, lineno) in ends.items():
+        if node not in nodes:
+            raise SourceError(f"{kind} names an undeclared node: {node}", lineno, 1)
+    source, sink = (ends[kind][0] if kind in ends else None for kind in ("source", "sink"))
     return DataGraph(frozenset(nodes), frozenset(edges), source, sink)
 
 

@@ -2,9 +2,10 @@
 
 These deliberately avoid the package's compilation pipeline so that each
 tested operation has a second, structurally different route to the same
-answer: a grammar-derivation search for levels, membership by structural
-recursion on the expression tree, and query evaluation by literal
-enumeration of all short walks.
+answer: a grammar-derivation search for levels, tree walks for the
+variable facts that nodes carry, membership by structural recursion on the
+expression tree, and query evaluation by literal enumeration of all short
+walks.
 """
 
 from __future__ import annotations
@@ -66,6 +67,42 @@ def derivation_levels(e):
     f_level = next(i for i in range(bound) if in_f(e, i, memo))
     e_level = next(i for i in range(1, bound) if in_e(e, i, memo))
     return f_level, e_level
+
+
+# ---------------------------------------------------------------------------
+# Variable facts by tree walks
+
+
+def free_vars(e):
+    """Variables with a condition occurrence not under a binder of that name."""
+    out = set()
+
+    def walk(node, bound):
+        if isinstance(node, E.Test):
+            out.update(E.cond_vars(node.cond) - bound)
+        elif isinstance(node, E.Bind):
+            walk(node.body, bound | {node.var})
+        else:
+            for c in E.children(node):
+                walk(c, bound)
+
+    walk(e, frozenset())
+    return out
+
+
+def all_vars(e):
+    """Every variable occurring in ``e``: free, bound, or in a condition."""
+    out = free_vars(e)
+    out.update(E.binder_vars(e))
+    for c in E.conditions_in(e):
+        out.update(E.cond_vars(c))
+    return out
+
+
+def is_well_named(e):
+    """Binder names pairwise distinct and disjoint from the free variables."""
+    binders = E.binder_vars(e)
+    return len(binders) == len(set(binders)) and not (set(binders) & free_vars(e))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,13 @@ def test_parse_dump_automaton_is_deterministic():
     assert "subexpr" in first[1]
 
 
+def test_parse_rename_dumps_the_automaton_of_the_tree_renamed_once():
+    code, out, err = run(["parse", "a@x(b[x=])", "--rename", "--dump-ast", "--dump-automaton"])
+    assert code == 0 and err == ""
+    assert "var='x_1'" in out and "bind a@x_1\n" in out and "x_1_1" not in out
+    assert out.endswith(run(["parse", "a@x(b[x=])", "--dump-automaton"])[1])
+
+
 def test_classify_output_format():
     code, out, _ = run(["classify", "(a1@x1(b1[x1=]))*"])
     assert code == 0

@@ -19,6 +19,7 @@ from rewb.randgen import random_cond, random_expr, random_valuation, random_word
 from rewb.syntax import parse_expr, print_expr
 from rewb.witness import r_expr
 
+import oracles
 from oracles import all_shapes, derivation_levels
 
 
@@ -246,6 +247,35 @@ def test_level_size_hash_and_equality_at_ten_thousand_letters(op):
     assert E.size(e) == 19_999
     assert hash(e) == hash(_deep(op, 10_000)) and e == _deep(op, 10_000)
     assert e != _deep(op, 9_999)
+
+
+def test_variable_fields_agree_with_the_tree_walks():
+    rng = random.Random(303)
+    verdicts = set()
+    for _ in range(3_000):
+        e = random_expr(rng, 12, letters=("a", "b", "c"), variables=("x", "y", "z"), max_e_level=3)
+        assert free_vars(e) == oracles.free_vars(e)
+        assert E.all_vars(e) == oracles.all_vars(e)
+        assert E.is_well_named(e) == oracles.is_well_named(e)
+        renamed = alpha_rename(e)
+        assert E.is_well_named(renamed) and oracles.is_well_named(renamed)
+        verdicts.add(E.is_well_named(e))
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("op", [".", "+"])
+def test_variable_facts_at_ten_thousand_letters(op):
+    e = parse_expr(op.join(["a[x=]"] * 10_000))
+    assert free_vars(e) == {"x"} and E.all_vars(e) == {"x"}
+    assert E.is_well_named(e)
+
+
+def test_variable_facts_under_ten_thousand_nested_binders():
+    e = E.Test("a", E.Eq("y"))
+    for _ in range(9_999):
+        e = E.Bind("a", "y", e)
+    assert free_vars(e) == set() and E.all_vars(e) == {"y"}
+    assert not E.is_well_named(e)
 
 
 def test_nodes_are_immutable():

@@ -92,6 +92,16 @@ def test_graph_format():
         parse_graph("edge u a v")
 
 
+@pytest.mark.parametrize("kind", ["source", "sink"])
+def test_graph_end_lines_check_their_id_and_report_their_own_line(kind):
+    with pytest.raises(SourceError) as err:
+        parse_graph(f"node u\nnode v\nedge u a 5 v\n{kind} zz\n")
+    assert (err.value.line, err.value.message) == (4, f"{kind} names an undeclared node: zz")
+    with pytest.raises(SourceError) as err:
+        parse_graph(f"node u\n{kind} 1u\n")
+    assert (err.value.line, err.value.message) == (2, "invalid node id '1u'")
+
+
 def test_print_graph_is_deterministic():
     g1 = graph([("u", "a", "5", "v"), ("u", "b", "1", "v")], nodes=["w"], source="u")
     g2 = graph(
