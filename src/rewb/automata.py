@@ -19,8 +19,9 @@ hierarchical view, with no epsilon transitions.
   with a store, a conditioned letter contributes its guard. Acceptance is
   defined over configurations (state, valuation); the language equals the
   expression's language for every compatible starting valuation. It fixes
-  one register slot per variable and compiles each guard once to a closure
-  over the register tuple, so a search runs without re-interpreting guards.
+  one register slot per variable and compiles each guard once to a
+  generated function of the register tuple, so a search runs without
+  re-interpreting guards.
 
 Both constructions require the input to be well-named (binder names
 pairwise distinct and disjoint from the free variables); ``alpha_rename``
@@ -82,10 +83,11 @@ class RegisterNfa:
     tuple in their order.
 
     Registers are a tuple with one slot per variable of ``slots``.
-    ``moves`` returns entries (guard, store, dst, test, slot): ``test`` is
-    the guard compiled over registers, ``slot`` the store's index (each
-    None where the guard or store is). All arcs into a position share its
-    one entry.
+    ``index[state]`` maps each letter to the entries (guard, store, dst,
+    test, slot) of the moves out of ``state`` on it, which ``moves``
+    returns: ``test`` is the guard compiled over registers, ``slot`` the
+    store's index (each None where the guard or store is). All arcs into a
+    position share its one entry.
     """
 
     def __init__(self, labels, finals, arcs):
@@ -101,16 +103,16 @@ class RegisterNfa:
             for dst, (_, guard, store) in enumerate(labels, start=1)
         ]
         transitions = []
-        index = {}
+        index = [{} for _ in self.states]
         for src, dst in arcs:
             letter, guard, store = labels[dst - 1]
             transitions.append((src, letter, guard, store, dst))
-            index.setdefault((src, letter), []).append(entries[dst - 1])
+            index[src].setdefault(letter, []).append(entries[dst - 1])
         self.transitions = tuple(transitions)
-        self._index = index
+        self.index = index
 
     def moves(self, state, letter):
-        return self._index.get((state, letter), ())
+        return self.index[state].get(letter, ())
 
 
 def _require_well_named(e):
@@ -240,7 +242,47 @@ def hier_automaton(e: E.Rewb) -> HierAutomaton:
 
 def automaton_size(e: E.Rewb) -> int:
     """Number of states of the hierarchical automaton of ``e``."""
-    return len(hier_automaton(e).states)
+    return automaton_sizes(e)[e]
+
+
+def automaton_sizes(e: E.Rewb) -> dict:
+    """The hierarchical automaton's state count for every subexpression of ``e``.
+
+    Maps each distinct node of ``e`` to "positions + 1" of its own view
+    (see ``hier_automaton``), counted bottom-up from the children's counts
+    without building an automaton. At F-level f the positions are the
+    letters if f is 0; in an E-shaped view the maximal nodes of F-level
+    below f and the binders above them; in an F-shaped view the maximal
+    nodes of E-level at most f. The last two are counted for every cut up to
+    the F-level of ``e``, the largest that any subexpression uses.
+    """
+    cuts = range(e.level.f_level + 1)
+    letters, e_blocks, f_blocks, sizes = {}, {}, {}, {}
+    stack = [e]
+    while stack:  # post-order over distinct nodes
+        node = stack[-1]
+        todo = [k for k in E.children(node) if k not in sizes]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        if node in sizes:
+            continue
+        kids = E.children(node)
+        f, e_level = node.level.f_level, node.level.e_level
+        letters[node] = isinstance(node, (E.Atom, E.Test)) + sum(letters[k] for k in kids)
+        e_blocks[node] = tuple(
+            1 if f <= c else isinstance(node, E.Bind) + sum(e_blocks[k][c] for k in kids) for c in cuts
+        )
+        f_blocks[node] = tuple(1 if e_level <= c else sum(f_blocks[k][c] for k in kids) for c in cuts)
+        if f == 0:
+            positions = letters[node]
+        elif e_level == f:
+            positions = e_blocks[node][f - 1]
+        else:
+            positions = f_blocks[node][f]
+        sizes[node] = positions + 1
+    return sizes
 
 
 def dump_automaton(e: E.Rewb) -> str:

@@ -7,13 +7,18 @@ other:
   state, register tuple) of the flattened register NFA, one search from
   each source node. Register values only ever come from the graph or the
   starting valuation, so the configuration space is finite and the
-  closure is sound and complete. This breadth-first configuration search
-  (``_search``) is the only one in the flat engine: ``connected`` stops it
-  at a target node, ``witness_path`` also keeps parent links to read off a
-  shortest path, and the stratified engine runs it on binding-free blocks.
-  It tests each guard with one call of its compiled closure and splices
-  stored values into the tuple; ``member`` and ``eval_oracle`` interpret
-  guards over dict valuations instead, as a check on the compiled form.
+  closure is sound and complete. This configuration search (``_search``)
+  is the only one in the flat engine: ``connected`` stops it at a target
+  node, ``witness_path`` also keeps parent links to read off a shortest
+  path, and the stratified engine runs it on binding-free blocks. It runs
+  breadth-first only when it keeps parent links, and depth-first
+  otherwise, which reaches a target after fewer configurations on the
+  reduction gadgets. Each search numbers the register tuples it meets, so
+  a configuration is (node, state, tuple number) and a tuple is hashed
+  only when a store makes a new one. It tests each guard with one call of
+  its generated function and splices stored values into the tuple;
+  ``member`` and ``eval_oracle`` interpret guards over dict valuations
+  instead, as a check on the compiled form.
 
 * ``eval_stratified``: the per-level scheme. It computes the row of the
   query at each source node: the nodes that a path from it in the
@@ -54,10 +59,11 @@ so such queries put (v, v) in the result for every node v.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from functools import lru_cache
 
 from . import expr as E
-from .automata import BindRead, RegisterNfa, automaton_size, hier_automaton, register_nfa
+from .automata import BindRead, RegisterNfa, automaton_sizes, hier_automaton, register_nfa
 from .data import DataGraph, DataWord, fresh_value, word_values
 from .errors import BudgetError, CompatibilityError, ValidationError
 
@@ -99,12 +105,12 @@ def member(e: E.Rewb, w: DataWord, val=None) -> bool:
 
 
 def _member(nfa, w, val):
-    moves = nfa._index.get
+    index = nfa.index
     configs = {(0, _vkey(val)): val}
     for letter, d in w:
         nxt = {}
         for (q, vk), v in configs.items():
-            for guard, store, q2, _test, _slot in moves((q, letter), ()):
+            for guard, store, q2, _test, _slot in index[q].get(letter, ()):
                 if guard is None or E.satisfies(guard, d, v):
                     if store is None:
                         nxt.setdefault((q2, vk), v)
@@ -137,51 +143,70 @@ def member_any(e: E.Rewb, w: DataWord) -> bool:
 
 
 def _search(nfa, adj, val, start, target=None, parent=None):
-    """Breadth-first search over configurations (node, state, registers).
+    """Search over configurations (node, state, register tuple number).
 
     Starts from ``start`` in the initial state with registers ``val`` (as
     a tuple over ``nfa.slots``) and follows graph edges through the NFA's
-    compiled moves. Returns a dict mapping each node reached in a final
-    state to the first configuration that reached it there, which is one
-    of fewest edges. With ``target`` set, stops as soon as the target is
-    in that dict. With ``parent`` (a dict) given, records for every
-    configuration after the first the (configuration, edge) it was
-    reached from.
+    compiled moves. The search numbers each register tuple it meets, in
+    the order met, and keys a configuration by that number, so a tuple is
+    hashed only where a store makes one. Returns a dict mapping each node
+    reached in a final state to the first configuration that reached it
+    there. With ``target`` set, stops as soon as the target is in that
+    dict.
+
+    With ``parent`` (a dict) given, the search is breadth-first, so each
+    configuration in the dict is one of fewest edges, and it records for
+    every configuration after the first the (configuration, edge) it was
+    reached from. Without it the search is depth-first, which on the
+    reduction gadgets meets a reachable target after fewer
+    configurations; the set of nodes reached is the same.
     """
     finals = nfa.finals
-    moves = nfa._index.get
-    key0 = (start, 0, tuple(val.get(var, E.UNSET) for var in nfa.slots))
+    index = nfa.index
+    regs = tuple(val.get(var, E.UNSET) for var in nfa.slots)
+    tuples = [regs]
+    number = {regs: 0}
+    key0 = (start, 0, 0)
     hits = {}
     if 0 in finals:
         hits[start] = key0
         if start == target:
             return hits
     seen = {key0}
-    frontier = [key0]
-    while frontier:
-        nxt = []
-        for key in frontier:
-            node, q, regs = key
-            for edge in adj[node]:
-                _, letter, d, dst = edge
-                for _guard, _store, q2, test, slot in moves((q, letter), ()):
-                    if test is not None and not test(d, regs):
-                        continue
-                    if slot is None:
-                        k2 = (dst, q2, regs)
-                    else:
-                        k2 = (dst, q2, regs[:slot] + (d,) + regs[slot + 1 :])
-                    if k2 in seen:
-                        continue
-                    seen.add(k2)
-                    nxt.append(k2)
-                    if parent is not None:
-                        parent[k2] = (key, edge)
-                    if q2 in finals and dst not in hits:
-                        hits[dst] = k2
-                        if dst == target:
-                            return hits
-        frontier = nxt
+    todo = deque((key0,))
+    take = todo.pop if parent is None else todo.popleft
+    while todo:
+        key = take()
+        node, q, r = key
+        regs = tuples[r]
+        out = index[q]
+        for edge in adj[node]:
+            entries = out.get(edge[1])
+            if entries is None:
+                continue
+            d, dst = edge[2], edge[3]
+            for _guard, _store, q2, test, slot in entries:
+                if test is not None and not test(d, regs):
+                    continue
+                if slot is None:
+                    k2 = (dst, q2, r)
+                else:
+                    stored = regs[:slot] + (d,) + regs[slot + 1 :]
+                    r2 = number.get(stored)
+                    if r2 is None:
+                        r2 = number[stored] = len(tuples)
+                        tuples.append(stored)
+                    k2 = (dst, q2, r2)
+                if k2 in seen:
+                    continue
+                seen.add(k2)
+                todo.append(k2)
+                if parent is not None:
+                    parent[k2] = (key, edge)
+                if q2 in finals and dst not in hits:
+                    hits[dst] = k2
+                    if dst == target:
+                        return hits
     return hits
 
 
@@ -223,8 +248,8 @@ def witness_path(e: E.Rewb, g: DataGraph, val, u, v):
     """One shortest witness path from u to v, or None.
 
     The returned edge list's label sequence is accepted by ``e`` under
-    ``val``. Breadth-first over configurations, so no shorter witness
-    exists.
+    ``val``. The search keeps parent links and so runs breadth-first over
+    configurations: no shorter witness exists.
     """
     val = dict(val or {})
     nfa = _checked_nfa(e, val)
@@ -323,9 +348,11 @@ def _strat(e, adj, val, u, memo):
 
 
 def oracle_bound(e: E.Rewb, g: DataGraph) -> int:
-    """The default path-length bound (k^2 * n)^i for ``e`` on ``g``."""
-    renamed = E.alpha_rename(e)
-    k = max(automaton_size(sub) for sub in E.subexpressions(renamed))
+    """The default path-length bound (k^2 * n)^i for ``e`` on ``g``.
+
+    Renaming changes no level, so ``k`` is counted on ``e`` itself.
+    """
+    k = max(automaton_sizes(e).values())
     n = len(g.nodes)
     i = E.classify(e).e_level
     return (k * k * n) ** i

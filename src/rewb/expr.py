@@ -25,8 +25,8 @@ is identity, hashing costs O(1) and caches keyed by trees never walk them.
 Each node carries its level, size, free variables, binder names and
 whether it is well-named, computed once from its children's when it is
 first made. ``satisfies`` interprets a condition over a dict valuation (the
-reference semantics); ``compile_cond`` turns it into a closure over a
-register tuple with one slot per variable.
+reference semantics); ``compile_cond`` turns it into one generated function
+of a register tuple with one slot per variable.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 import random
 import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import UndefinedVariableError, ValidationError
 
@@ -79,11 +80,17 @@ Condition = Eq | Neq | Not | And | Or
 
 def cond_vars(c: Condition) -> set[Var]:
     """Variables mentioned anywhere in a condition."""
-    if isinstance(c, (Eq, Neq)):
-        return {c.var}
-    if isinstance(c, Not):
-        return cond_vars(c.body)
-    return cond_vars(c.left) | cond_vars(c.right)
+    out = set()
+    stack = [c]
+    while stack:
+        c = stack.pop()
+        if isinstance(c, (Eq, Neq)):
+            out.add(c.var)
+        elif isinstance(c, Not):
+            stack.append(c.body)
+        else:
+            stack += (c.left, c.right)
+    return out
 
 
 def satisfies(c: Condition, d: DataValue, val: Valuation) -> bool:
@@ -91,25 +98,29 @@ def satisfies(c: Condition, d: DataValue, val: Valuation) -> bool:
 
     Raises UndefinedVariableError when the condition mentions a variable
     that ``val`` does not define; satisfaction against an undefined
-    variable is an error, never a truth value.
+    variable is an error, never a truth value. The right side of an And or
+    Or is followed in a loop, so right-associated chains of any length
+    take no recursion.
     """
-    if isinstance(c, Eq):
-        if c.var not in val:
-            raise UndefinedVariableError(f"variable {c.var} has no value")
-        return val[c.var] == d
-    if isinstance(c, Neq):
-        if c.var not in val:
-            raise UndefinedVariableError(f"variable {c.var} has no value")
-        return val[c.var] != d
+    while isinstance(c, (And, Or)):
+        left = satisfies(c.left, d, val)
+        if left != isinstance(c, And):  # And stops at False, Or at True
+            return left
+        c = c.right
     if isinstance(c, Not):
         return not satisfies(c.body, d, val)
-    if isinstance(c, And):
-        return satisfies(c.left, d, val) and satisfies(c.right, d, val)
-    return satisfies(c.left, d, val) or satisfies(c.right, d, val)
+    if c.var not in val:
+        raise UndefinedVariableError(f"variable {c.var} has no value")
+    return val[c.var] == d if isinstance(c, Eq) else val[c.var] != d
 
 
 # The value of a register that no binder has stored to yet.
 UNSET = object()
+
+# Boolean operators one generated guard nests before it hands the rest of
+# the condition to a guard of its own; the parser rejects source nested
+# about 200 parentheses deep.
+_NEST = 50
 
 
 def compile_cond(c: Condition, slot: dict):
@@ -119,24 +130,74 @@ def compile_cond(c: Condition, slot: dict):
     agrees with ``satisfies`` under the valuation the tuple encodes, with
     the same left-to-right short cuts: reading a register that holds UNSET
     raises UndefinedVariableError.
+
+    The test is one generated Python expression, so a check is one call.
+    Chains of And or Or become one n-ary ``and`` or ``or``. The source
+    holds operators, leaf numbers and parameter names only: each leaf's
+    slot index and variable name are bound when the test is made, so the
+    code is compiled once per condition shape (the tree without its
+    variables) and shared by every condition of that shape. A condition
+    nested more than ``_NEST`` operators deep is cut into several
+    generated functions, each calling the ones below it.
     """
-    if isinstance(c, Not):
-        body = compile_cond(c.body, slot)
-        return lambda d, regs: not body(d, regs)
+    roots = [c]  # grows as _emit cuts off deeper parts
+    parts = []
+    for root in roots:
+        slots, names, callees = [], [], []
+        body = _emit(root, 0, slot, slots, names, callees, roots)
+        parts.append((body, slots, tuple(names), callees))
+    made = [None] * len(parts)
+    for i in range(len(parts) - 1, -1, -1):
+        body, slots, names, callees = parts[i]
+        make = _guard_maker(body, len(slots), len(callees))
+        made[i] = make(names, *slots, *[made[j] for j in callees])
+    return made[0]
+
+
+def _emit(c, depth, slot, slots, names, callees, roots):
+    """Source of ``c`` in a generated guard, ``depth`` operators below its root.
+
+    Appends the slot index and name of each leaf to ``slots`` and ``names``;
+    a part nested ``_NEST`` deep is appended to ``roots`` and its index in
+    ``roots`` to ``callees``.
+    """
     if isinstance(c, (Eq, Neq)):
-        i, var, eq = slot[c.var], c.var, isinstance(c, Eq)
+        k = len(slots)
+        slots.append(slot[c.var])
+        names.append(c.var)
+        if isinstance(c, Eq):
+            return f"(r[s{k}] == d or r[s{k}] is U and _undefined(n, {k}))"
+        return f"(r[s{k}] != d and (r[s{k}] is not U or _undefined(n, {k})))"
+    if depth == _NEST:
+        callees.append(len(roots))
+        roots.append(c)
+        return f"g{len(callees) - 1}(d, r)"
+    if isinstance(c, Not):
+        return f"(not {_emit(c.body, depth + 1, slot, slots, names, callees, roots)})"
+    kind = type(c)
+    operands, stack = [], [c]
+    while stack:  # the maximal chain of this operator, left to right
+        node = stack.pop()
+        if type(node) is kind:
+            stack += (node.right, node.left)
+        else:
+            operands.append(_emit(node, depth + 1, slot, slots, names, callees, roots))
+    return "(" + (" and " if kind is And else " or ").join(operands) + ")"
 
-        def leaf(d, regs):
-            v = regs[i]
-            if v is UNSET:
-                raise UndefinedVariableError(f"variable {var} has no value")
-            return v == d if eq else v != d
 
-        return leaf
-    left, right = compile_cond(c.left, slot), compile_cond(c.right, slot)
-    if isinstance(c, And):
-        return lambda d, regs: left(d, regs) and right(d, regs)
-    return lambda d, regs: left(d, regs) or right(d, regs)
+def _undefined(names, k):
+    raise UndefinedVariableError(f"variable {names[k]} has no value")
+
+
+@lru_cache(maxsize=1024)
+def _guard_maker(body, n_slots, n_callees):
+    """``make(names, *slot indices, *callees)``, which returns the guard
+    ``lambda d, r: body``; compiled once per condition shape."""
+    params = ["n", *(f"s{k}" for k in range(n_slots)), *(f"g{j}" for j in range(n_callees))]
+    source = f"def make({', '.join(params)}):\n    return lambda d, r: {body}\n"
+    namespace = {"U": UNSET, "_undefined": _undefined}
+    exec(compile(source, "<guard>", "exec"), namespace)
+    return namespace["make"]
 
 
 def and_all(conds: list) -> Condition:
@@ -442,8 +503,14 @@ def indistinguishable_sampled(e: Rewb, vars: list[Var], trials: int, seed: int) 
     Draws, per trial, a condition of ``e``, a data value and a pair of
     valuations that agree outside ``vars`` and have equal value sets on
     ``vars``; returns False on the first disagreement. True only means no
-    counterexample was found, not a proof.
+    counterexample was found, not a proof. The answer is a function of its
+    arguments and nodes are interned, so it is memoized.
     """
+    return _indistinguishable(e, tuple(vars), trials, seed)
+
+
+@lru_cache(maxsize=256)
+def _indistinguishable(e, vars, trials, seed):
     missing = set(vars) - e.free
     if missing:
         raise ValidationError(f"not free in the expression: {sorted(missing)}")

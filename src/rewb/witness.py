@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from . import expr as E
-from .automata import automaton_size
+from .automata import automaton_sizes
 from .data import DataWord
 from .errors import ValidationError
 from .evaluate import member
@@ -144,8 +144,8 @@ def mismatch_harness(e: E.Rewb, n: int, x: DataWord, z: DataWord, val, budget: i
     val = dict(val or {})
     renamed = E.alpha_rename(e)
     warn = any(
-        n <= automaton_size(sub) + 1 or n <= len(E.all_vars(sub)) + 1
-        for sub in E.subexpressions(renamed)
+        n <= size + 1 or n <= len(E.all_vars(sub)) + 1
+        for sub, size in automaton_sizes(renamed).items()
     )
     i = E.classify(e).e_level
     if not member(e, tuple(x) + u_word(i, n) + tuple(z), val):

@@ -5,12 +5,15 @@ tested operation has a second, structurally different route to the same
 answer: a grammar-derivation search for levels, tree walks for the
 variable facts that nodes carry, membership by structural recursion on the
 expression tree, and query evaluation by literal enumeration of all short
-walks.
+walks. Witness lengths come from a layered search that takes the register
+NFA but not the search kernel: it keeps dict valuations and interprets
+guards with ``satisfies``.
 """
 
 from __future__ import annotations
 
 import rewb.expr as E
+from rewb.automata import register_nfa
 from rewb.evaluate import member
 
 
@@ -188,6 +191,39 @@ def brute_pairs(e, g, val, max_len, decide=member):
             if decide(e, labels, val):
                 pairs.add((u, end))
     return pairs
+
+
+def shortest_witness_length(e, g, val, u, v):
+    """Fewest edges of a data path from u to v in the language of ``e``
+    under ``val``, or None.
+
+    A layered breadth-first search over configurations (node, state, dict
+    valuation) of the register NFA that interprets guards with
+    ``satisfies``: layer k holds the configurations first reached after k
+    edges.
+    """
+    nfa = register_nfa(E.alpha_rename(e))
+    adj = g.out_edges()
+    layer = {(u, 0, tuple(sorted(val.items()))): dict(val)}
+    seen = set(layer)
+    length = 0
+    while layer:
+        if any(node == v and q in nfa.finals for node, q, _ in layer):
+            return length
+        nxt = {}
+        for (node, q, _), cur in layer.items():
+            for _, letter, d, dst in adj[node]:
+                for guard, store, q2, _test, _slot in nfa.moves(q, letter):
+                    if guard is not None and not E.satisfies(guard, d, cur):
+                        continue
+                    new = cur if store is None else {**cur, store: d}
+                    key = (dst, q2, tuple(sorted(new.items())))
+                    if key not in seen:
+                        seen.add(key)
+                        nxt[key] = new
+        layer = nxt
+        length += 1
+    return None
 
 
 # ---------------------------------------------------------------------------

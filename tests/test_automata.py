@@ -9,6 +9,7 @@ from rewb.automata import (
     Read,
     SubExpr,
     automaton_size,
+    automaton_sizes,
     hier_automaton,
     register_nfa,
 )
@@ -48,6 +49,16 @@ def test_hier_fshape_self_loop():
     assert len(aut.states) == 2
     assert (1, SubExpr(parse_expr("a@x(b[x=])")), 1) in aut.transitions
     assert aut.initials <= aut.finals  # the star accepts the empty word
+
+
+def test_automaton_sizes_count_the_built_automata():
+    rng = random.Random(71)
+    for _ in range(3000):
+        e = E.alpha_rename(random_expr(rng, 10, ("a", "b", "c"), ("x", "y", "z"), max_e_level=3))
+        sizes = automaton_sizes(e)
+        assert set(sizes) == set(E.subexpressions(e))
+        for sub, size in sizes.items():
+            assert size == len(hier_automaton(sub).states)
 
 
 def test_automaton_size_examples():

@@ -1,10 +1,12 @@
 """Evaluation engines: membership, reachability, agreement, witnesses."""
 
 import random
+import time
 
 import pytest
 
 import rewb.expr as E
+from rewb.automata import hier_automaton
 from rewb.data import fresh_value, graph, word_values
 from rewb.errors import BudgetError, CompatibilityError
 from rewb.evaluate import (
@@ -22,7 +24,10 @@ from rewb.evaluate import (
 from rewb.randgen import random_expr, random_graph, random_valuation, random_word
 from rewb.syntax import parse_expr, parse_word, print_expr
 
-from oracles import brute_pairs
+from oracles import brute_pairs, shortest_witness_length
+
+LETTERS3 = ("a", "b", "c")
+VARIABLES3 = ("x", "y", "z")
 
 CYCLE = graph(
     [
@@ -307,7 +312,7 @@ def test_witness_labels_are_accepted_and_shortest():
 
 def test_connected_matches_eval_flat():
     rng = random.Random(41)
-    for _ in range(40):
+    for _ in range(300):
         e = random_expr(rng, 6)
         g = random_graph(rng, max_nodes=4)
         val = random_valuation(rng, sorted(E.free_vars(e)), sorted(g.data_values()))
@@ -315,6 +320,43 @@ def test_connected_matches_eval_flat():
         for u in g.nodes:
             for v in g.nodes:
                 assert connected(e, g, val, u, v) == ((u, v) in pairs)
+
+
+def test_witness_paths_are_as_short_as_a_layered_search():
+    rng = random.Random(59)
+    found = 0
+    for _ in range(300):
+        e = random_expr(rng, 8, letters=LETTERS3, variables=VARIABLES3, max_e_level=3)
+        g = random_graph(rng, max_nodes=4, letters=LETTERS3)
+        val = random_valuation(rng, sorted(E.free_vars(e)), sorted(g.data_values()))
+        for u in sorted(g.nodes):
+            for v in sorted(g.nodes):
+                path = witness_path(e, g, val, u, v)
+                length = None if path is None else len(path)
+                assert length == shortest_witness_length(e, g, val, u, v), (print_expr(e), u, v)
+                found += path is not None
+    assert found > 300
+
+
+def test_oracle_bound_counts_as_the_built_automata_do():
+    # the bound's k was the largest automaton built over the renamed subexpressions
+    rng = random.Random(61)
+    g = graph([("u", "a", "1", "v"), ("v", "b", "2", "w")])
+    for _ in range(3000):
+        e = random_expr(rng, 10, letters=LETTERS3, variables=VARIABLES3, max_e_level=3)
+        k = max(len(hier_automaton(sub).states) for sub in E.subexpressions(E.alpha_rename(e)))
+        assert oracle_bound(e, g) == (k * k * 3) ** E.classify(e).e_level
+
+
+def test_oracle_bound_of_a_400_letter_concatenation_is_quick():
+    e = parse_expr(".".join("a" * 400))
+    g = graph([("u", "a", "1", "u")])
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert oracle_bound(e, g) == 401 * 401
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.060
 
 
 def test_short_witness_bound_holds():

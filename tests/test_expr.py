@@ -161,6 +161,14 @@ def test_indistinguishable_examples():
     assert indistinguishable_sampled(parse_expr("a"), [], 10, 0) is True
 
 
+def test_indistinguishable_check_is_memoized():
+    e = eval_expr(3)
+    first = indistinguishable_sampled(e, ["x_1", "x_2", "x_3"], 200, 11)
+    hits = E._indistinguishable.cache_info().hits
+    assert indistinguishable_sampled(eval_expr(3), ("x_1", "x_2", "x_3"), 200, 11) is first
+    assert E._indistinguishable.cache_info().hits == hits + 1
+
+
 def test_indistinguishable_rejects_non_free_variables():
     with pytest.raises(ValidationError):
         indistinguishable_sampled(parse_expr("a@x(b[x=])"), ["x"], 10, 0)
@@ -208,6 +216,75 @@ def test_compiled_condition_short_cuts_like_satisfies():
     assert test("1", ("1", E.UNSET)) is True
     with pytest.raises(UndefinedVariableError):
         test("2", ("1", E.UNSET))
+
+
+# Under BASE and d = "2", every Eq on v0..v4 and every Neq on v5..v9 is
+# false, and the other leaves are true.
+VS = [f"v{i}" for i in range(10)]
+BASE = {v: "1" if i < 5 else "2" for i, v in enumerate(VS)}
+
+
+def _leaf(rng, truth):
+    i = rng.randrange(10)
+    return (E.Neq if (i < 5) == truth else E.Eq)(VS[i])
+
+
+def _valuations(rng, trials):
+    """BASE, then variations of it: one variable moved or unset at a time."""
+    yield dict(BASE)
+    for _ in range(trials):
+        val = dict(BASE)
+        var = rng.choice(VS)
+        if rng.random() < 0.5:
+            val[var] = "1" if val[var] == "2" else "2"
+        else:
+            del val[var]
+        yield val
+
+
+def _check_generated_against_satisfies(c, rng, trials):
+    slot = {v: i for i, v in enumerate(VS)}
+    test = E.compile_cond(c, slot)
+    outcomes = set()
+    for val in _valuations(rng, trials):
+        regs = tuple(val.get(v, E.UNSET) for v in VS)
+        expected = _outcome(E.satisfies, c, "2", val)
+        assert _outcome(test, "2", regs) is expected
+        outcomes.add(expected)
+    return outcomes
+
+
+@pytest.mark.parametrize("chain, truth", [(E.or_all, False), (E.and_all, True)])
+def test_generated_guards_agree_with_satisfies_on_ten_thousand_leaves(chain, truth):
+    # under BASE every leaf lets the chain go on, so the test reads all of them
+    rng = random.Random(47)
+    c = chain([_leaf(rng, truth) for _ in range(10_000)])
+    assert _check_generated_against_satisfies(c, rng, 60) == {True, False, UndefinedVariableError}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_generated_guards_agree_with_satisfies_500_deep(side):
+    # Or levels get a leaf false under BASE, And levels one true, so
+    # evaluation under BASE runs down all 500 levels
+    rng = random.Random(53)
+    c = _leaf(rng, False)
+    for depth in range(500):
+        kind, truth = (E.And, True) if depth % 2 else (E.Or, False)
+        leaf = _leaf(rng, truth)
+        c = kind(c, leaf) if side == "left" else kind(leaf, c)
+    assert len(_check_generated_against_satisfies(c, rng, 200)) > 1
+
+
+def test_guards_of_one_shape_share_their_code():
+    first = E.compile_cond(E.And(E.Eq("x"), E.Not(E.Neq("y"))), {"x": 0, "y": 1})
+    second = E.compile_cond(E.And(E.Eq("p"), E.Not(E.Neq("q"))), {"p": 3, "q": 2})
+    other = E.compile_cond(E.Or(E.Eq("x"), E.Not(E.Neq("y"))), {"x": 0, "y": 1})
+    assert first.__code__ is second.__code__
+    assert first.__code__ is not other.__code__
+    assert first("1", ("1", "1")) is True
+    assert second("1", (None, None, "2", "1")) is False
+    with pytest.raises(UndefinedVariableError, match="variable q has no value"):
+        second("1", (None, None, E.UNSET, "1"))
 
 
 def test_equal_trees_hash_equal_and_kinds_stay_apart():
