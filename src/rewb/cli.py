@@ -268,7 +268,7 @@ def _cmd_selftest(args):
         return 0
     for failure in report.failures:
         print(f"engine disagreement in case {failure['case']}:", file=sys.stderr)
-        for key in ("expr", "valuation", "flat", "stratified", "oracle"):
+        for key in ("expr", "valuation", "flat", "stratified", "oracle", "witness"):
             print(f"  {key}: {failure[key]}", file=sys.stderr)
         print("  graph:", file=sys.stderr)
         for line in failure["graph"].splitlines():

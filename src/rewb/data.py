@@ -9,6 +9,7 @@ one sink node.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ValidationError
 
@@ -33,11 +34,25 @@ class DataGraph:
                 raise ValidationError(f"{name} names an undeclared node: {node!r}")
 
     def out_edges(self) -> dict:
-        """Adjacency map node -> sorted list of outgoing edges."""
+        """Adjacency map node -> sorted list of outgoing edges.
+
+        Built on first use and shared by every later call on this graph, so
+        callers must not mutate it.
+        """
+        return self._adjacency
+
+    @cached_property
+    def _adjacency(self):
         adj = {n: [] for n in self.nodes}
         for edge in sorted(self.edges):
             adj[edge[0]].append(edge)
         return adj
+
+    def __getstate__(self):
+        """Pickle the fields only: the adjacency is rebuilt on demand."""
+        state = dict(self.__dict__)
+        state.pop("_adjacency", None)
+        return state
 
     def data_values(self) -> set:
         return {value for _, _, value, _ in self.edges}

@@ -8,17 +8,17 @@ other:
   each source node. Register values only ever come from the graph or the
   starting valuation, so the configuration space is finite and the
   closure is sound and complete. This configuration search (``_search``)
-  is the only one in the flat engine: ``connected`` stops it at a target
-  node, ``witness_path`` also keeps parent links to read off a shortest
-  path, and the stratified engine runs it on binding-free blocks. It runs
-  breadth-first only when it keeps parent links, and depth-first
-  otherwise, which reaches a target after fewer configurations on the
-  reduction gadgets. Each search numbers the register tuples it meets, so
-  a configuration is (node, state, tuple number) and a tuple is hashed
-  only when a store makes a new one. It tests each guard with one call of
-  its generated function and splices stored values into the tuple;
-  ``member`` and ``eval_oracle`` interpret guards over dict valuations
-  instead, as a check on the compiled form.
+  runs depth-first, which reaches a target after fewer configurations on
+  the reduction gadgets; ``connected`` stops it at a target node, and the
+  stratified engine runs it on binding-free blocks. ``witness_path``
+  searches the same configurations goal-directed instead: A* ordered by
+  edges taken plus the graph distance to the target, keeping parent links
+  to read off a shortest path. Each search numbers the register tuples it
+  meets, so a configuration is (node, state, tuple number) and a tuple is
+  hashed only when a store makes a new one. It tests each guard with one
+  call of its generated function and splices stored values into the
+  tuple; ``member`` and ``eval_oracle`` interpret guards over dict
+  valuations instead, as a check on the compiled form.
 
 * ``eval_stratified``: the per-level scheme. It computes the row of the
   query at each source node: the nodes that a path from it in the
@@ -59,7 +59,6 @@ so such queries put (v, v) in the result for every node v.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from functools import lru_cache
 
 from . import expr as E
@@ -142,8 +141,8 @@ def member_any(e: E.Rewb, w: DataWord) -> bool:
 # Configuration search
 
 
-def _search(nfa, adj, val, start, target=None, parent=None):
-    """Search over configurations (node, state, register tuple number).
+def _search(nfa, adj, val, start, target=None):
+    """Depth-first search over configurations (node, state, register tuple number).
 
     Starts from ``start`` in the initial state with registers ``val`` (as
     a tuple over ``nfa.slots``) and follows graph edges through the NFA's
@@ -152,18 +151,12 @@ def _search(nfa, adj, val, start, target=None, parent=None):
     hashed only where a store makes one. Returns a dict mapping each node
     reached in a final state to the first configuration that reached it
     there. With ``target`` set, stops as soon as the target is in that
-    dict.
-
-    With ``parent`` (a dict) given, the search is breadth-first, so each
-    configuration in the dict is one of fewest edges, and it records for
-    every configuration after the first the (configuration, edge) it was
-    reached from. Without it the search is depth-first, which on the
-    reduction gadgets meets a reachable target after fewer
-    configurations; the set of nodes reached is the same.
+    dict; depth-first order meets a reachable target after fewer
+    configurations than breadth-first on the reduction gadgets.
     """
     finals = nfa.finals
     index = nfa.index
-    regs = tuple(val.get(var, E.UNSET) for var in nfa.slots)
+    regs = _registers(nfa, val)
     tuples = [regs]
     number = {regs: 0}
     key0 = (start, 0, 0)
@@ -173,10 +166,9 @@ def _search(nfa, adj, val, start, target=None, parent=None):
         if start == target:
             return hits
     seen = {key0}
-    todo = deque((key0,))
-    take = todo.pop if parent is None else todo.popleft
+    todo = [key0]
     while todo:
-        key = take()
+        key = todo.pop()
         node, q, r = key
         regs = tuples[r]
         out = index[q]
@@ -201,13 +193,16 @@ def _search(nfa, adj, val, start, target=None, parent=None):
                     continue
                 seen.add(k2)
                 todo.append(k2)
-                if parent is not None:
-                    parent[k2] = (key, edge)
                 if q2 in finals and dst not in hits:
                     hits[dst] = k2
                     if dst == target:
                         return hits
     return hits
+
+
+def _registers(nfa, val):
+    """The register tuple of ``val`` over ``nfa.slots``."""
+    return tuple(val.get(var, E.UNSET) for var in nfa.slots)
 
 
 def _all_pairs(nfa, nodes, adj, val):
@@ -248,22 +243,106 @@ def witness_path(e: E.Rewb, g: DataGraph, val, u, v):
     """One shortest witness path from u to v, or None.
 
     The returned edge list's label sequence is accepted by ``e`` under
-    ``val``. The search keeps parent links and so runs breadth-first over
-    configurations: no shorter witness exists.
+    ``val``, and no shorter such path exists. The search is A* over the
+    configurations (node, state, register tuple number) that ``_search``
+    uses, ordered by f = g + h: g counts the edges taken, and h is the
+    fewest edges from the node to ``v`` in the graph with labels ignored.
+    h never overestimates and drops by at most one per edge, so f never
+    decreases along a route and the first final configuration at ``v``
+    to be popped ends a shortest path. The queue is a list of buckets, one
+    per f, each a stack, so configurations of equal f are taken
+    depth-first. Configurations at nodes with no path to ``v`` are never
+    queued; a queued configuration that a shorter route reaches is queued
+    again with its new parent, and the entry left behind is skipped as
+    stale when popped.
     """
     val = dict(val or {})
     nfa = _checked_nfa(e, val)
     _check_nodes(g, u, v)
-    parent = {}
-    key = _search(nfa, g.out_edges(), val, u, target=v, parent=parent).get(v)
-    if key is None:
+    dist = _distances_to(g, v)
+    if u not in dist:
         return None
-    path = []
-    while key in parent:
-        key, edge = parent[key]
-        path.append(edge)
-    path.reverse()
-    return path
+    finals = nfa.finals
+    index = nfa.index
+    adj = g.out_edges()
+    regs = _registers(nfa, val)
+    tuples = [regs]
+    number = {regs: 0}
+    key = (u, 0, 0)
+    best = {key: (0, None, None)}
+    f = dist[u]
+    buckets = [[] for _ in range(f)]
+    buckets.append([key])
+    while f < len(buckets):
+        bucket = buckets[f]
+        while bucket:
+            key = bucket.pop()
+            node, q, r = key
+            c = best[key][0]
+            if c + dist[node] != f:
+                continue
+            if node == v and q in finals:
+                path = []
+                _c, key, edge = best[key]
+                while edge is not None:
+                    path.append(edge)
+                    _c, key, edge = best[key]
+                path.reverse()
+                return path
+            c += 1
+            regs = tuples[r]
+            out = index[q]
+            for edge in adj[node]:
+                entries = out.get(edge[1])
+                if entries is None:
+                    continue
+                d, dst = edge[2], edge[3]
+                h = dist.get(dst)
+                if h is None:
+                    continue
+                for _guard, _store, q2, test, slot in entries:
+                    if test is not None and not test(d, regs):
+                        continue
+                    if slot is None:
+                        k2 = (dst, q2, r)
+                    else:
+                        stored = regs[:slot] + (d,) + regs[slot + 1 :]
+                        r2 = number.get(stored)
+                        if r2 is None:
+                            r2 = number[stored] = len(tuples)
+                            tuples.append(stored)
+                        k2 = (dst, q2, r2)
+                    old = best.get(k2)
+                    if old is not None and old[0] <= c:
+                        continue
+                    best[k2] = (c, key, edge)
+                    f2 = c + h
+                    while len(buckets) <= f2:
+                        buckets.append([])
+                    buckets[f2].append(k2)
+        f += 1
+    return None
+
+
+def _distances_to(g, v):
+    """Fewest edges from each node to ``v``, labels ignored; a node with no
+    path to ``v`` is absent."""
+    preds = {node: [] for node in g.nodes}
+    for src, _letter, _value, dst in g.edges:
+        preds[dst].append(src)
+    dist = {v: 0}
+    frontier = [v]
+    step = 0
+    while frontier:
+        step += 1
+        nxt = []
+        for node in frontier:
+            for src in preds[node]:
+                if src not in dist:
+                    dist[src] = step
+                    nxt.append(src)
+        frontier = nxt
+    return dist
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,12 @@ def _gadget_letters(g, e):
 def formula_graph(phi: NnfFormula, atoms) -> DataGraph:
     """The series-parallel graph of an NNF formula, with the two-edge
     polarity prefix fused in front; source and sink are set."""
+    edges, source, sink = _formula_edges(phi, atoms)
+    return graph(edges, source=source, sink=sink)
+
+
+def _formula_edges(phi, atoms):
+    """The edges of ``formula_graph`` with its source and sink."""
     atoms = list(atoms)
     _check_atoms(atoms)
     stray = atoms_of(phi) - set(atoms)
@@ -307,7 +313,7 @@ def formula_graph(phi: NnfFormula, atoms) -> DataGraph:
     edges.append((head, "a", "po", mid))
     edges.append((mid, "a", "ne", formula_src))
     build(phi, formula_src, formula_snk)
-    return graph(edges, source=head, sink=formula_snk)
+    return edges, head, formula_snk
 
 
 def eval_expr(k: int) -> E.Rewb:
@@ -326,17 +332,16 @@ def eval_expr(k: int) -> E.Rewb:
 def sat_reduction(phi: NnfFormula, atoms) -> GadgetOutput:
     """Source-sink connectivity holds iff ``phi`` is satisfiable."""
     atoms = list(atoms)
-    base = formula_graph(phi, atoms)
-    used = set(base.nodes)
-    chain = _fresh_nodes(used, "c", len(atoms)) + [base.source]
-    edges = set(base.edges)
+    edges, source, sink = _formula_edges(phi, atoms)
+    used = {node for edge in edges for node in (edge[0], edge[3])}
+    chain = _fresh_nodes(used, "c", len(atoms)) + [source]
     for atom, a, b in zip(atoms, chain, chain[1:]):
-        edges.add((a, "a", atom, b))
-        edges.add((a, "a", STAR_VALUE, b))
+        edges.append((a, "a", atom, b))
+        edges.append((a, "a", STAR_VALUE, b))
     expr = eval_expr(len(atoms))
     for j in range(len(atoms), 0, -1):
         expr = E.Bind("a", f"x_{j}", expr)
-    g = graph(edges, source=chain[0], sink=base.sink)
+    g = graph(edges, source=chain[0], sink=sink)
     return _output(g, expr)
 
 

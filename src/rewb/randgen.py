@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import expr as E
 from .data import DataGraph, fresh_value, graph
-from .evaluate import eval_flat, eval_oracle, eval_stratified
+from .evaluate import eval_flat, eval_oracle, eval_stratified, member, witness_path
 from .syntax import print_expr, print_graph, print_valuation
 
 LETTERS = ("a", "b")
@@ -107,7 +107,8 @@ class SelftestReport:
 
 
 def selftest(seed: int = 0, cases: int = 100) -> SelftestReport:
-    """Run the three engines on random instances and compare result sets."""
+    """Run the three engines on random instances and compare result sets,
+    then check ``witness_path`` against the flat result on every node pair."""
     rng = random.Random(seed)
     report = SelftestReport(cases)
     for case in range(cases):
@@ -117,7 +118,8 @@ def selftest(seed: int = 0, cases: int = 100) -> SelftestReport:
         flat = eval_flat(e, g, val)
         strat = eval_stratified(e, g, val)
         oracle = eval_oracle(e, g, val)
-        if not (flat == strat == oracle):
+        witness = _witness_fault(e, g, val, flat)
+        if not (flat == strat == oracle) or witness:
             report.failures.append(
                 {
                     "case": case,
@@ -127,6 +129,30 @@ def selftest(seed: int = 0, cases: int = 100) -> SelftestReport:
                     "flat": sorted(flat),
                     "stratified": sorted(strat),
                     "oracle": sorted(oracle),
+                    "witness": witness,
                 }
             )
     return report
+
+
+def _witness_fault(e, g, val, flat):
+    """The first node pair whose witness disagrees with ``flat``, as a
+    short description, or None. A pair in ``flat`` must get a path that
+    chains its nodes over graph edges and spells a word ``e`` accepts; a
+    pair outside it must get None."""
+    for u in sorted(g.nodes):
+        for v in sorted(g.nodes):
+            path = witness_path(e, g, val, u, v)
+            if (path is None) == ((u, v) in flat):
+                return f"{u} -> {v}: witness {path} disagrees with the flat result"
+            if path is None:
+                continue
+            at = u
+            for edge in path:
+                if edge not in g.edges or edge[0] != at:
+                    return f"{u} -> {v}: path {path} does not chain over graph edges"
+                at = edge[3]
+            labels = tuple((letter, value) for _, letter, value, _ in path)
+            if at != v or not member(e, labels, val):
+                return f"{u} -> {v}: path {path} is not a witness"
+    return None

@@ -229,6 +229,21 @@ def test_selftest_reports_injected_faults_with_reproduction_data(monkeypatch):
     assert "engine disagreement" in err and "expr:" in err and "graph:" in err
 
 
+def test_selftest_reports_a_witness_that_misses_its_target(monkeypatch):
+    import rewb.randgen as randgen
+
+    truth = randgen.witness_path
+
+    def faulty(e, g, val, u, v):
+        path = truth(e, g, val, u, v)
+        return path[:-1] if path else path
+
+    monkeypatch.setattr(randgen, "witness_path", faulty)
+    code, out, err = run(["selftest", "--seed", "3", "--cases", "25"])
+    assert code == 1 and out == ""
+    assert "engine disagreement" in err and "is not a witness" in err and "graph:" in err
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as info:
         with redirect_stderr(io.StringIO()):

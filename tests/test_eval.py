@@ -1,5 +1,7 @@
 """Evaluation engines: membership, reachability, agreement, witnesses."""
 
+import itertools
+import pickle
 import random
 import time
 
@@ -21,6 +23,7 @@ from rewb.evaluate import (
     oracle_bound,
     witness_path,
 )
+from rewb.gadgets import brute_formula, parse_nnf, sat_reduction
 from rewb.randgen import random_expr, random_graph, random_valuation, random_word
 from rewb.syntax import parse_expr, parse_word, print_expr
 
@@ -336,6 +339,97 @@ def test_witness_paths_are_as_short_as_a_layered_search():
                 assert length == shortest_witness_length(e, g, val, u, v), (print_expr(e), u, v)
                 found += path is not None
     assert found > 300
+
+
+def test_witness_lengths_match_a_layered_search_on_cyclic_graphs():
+    rng = random.Random(67)
+    found = 0
+    for _ in range(1000):
+        e = random_expr(rng, 8, letters=LETTERS3, variables=VARIABLES3, max_e_level=3)
+        g = random_graph(rng, max_nodes=6, max_edges=14, letters=LETTERS3)
+        val = random_valuation(rng, sorted(E.free_vars(e)), sorted(g.data_values()))
+        for u in sorted(g.nodes):
+            for v in sorted(g.nodes):
+                path = witness_path(e, g, val, u, v)
+                length = None if path is None else len(path)
+                assert length == shortest_witness_length(e, g, val, u, v), (print_expr(e), u, v)
+                found += path is not None
+    assert found > 1000
+
+
+def test_witness_is_none_without_a_graph_path_or_an_accepted_one():
+    g = graph([("u", "a", "1", "v"), ("v", "b", "1", "w"), ("u", "a", "2", "w")], nodes=["z"])
+    e = parse_expr("a.a")
+    assert witness_path(e, g, {}, "u", "z") is None  # no edge reaches z
+    assert witness_path(e, g, {}, "w", "u") is None  # no edge leaves w
+    assert witness_path(e, g, {}, "u", "w") is None  # u-a-v-b-w and u-a-w are rejected
+    assert witness_path(parse_expr("a.b"), g, {}, "u", "w") == [
+        ("u", "a", "1", "v"), ("v", "b", "1", "w")]
+
+
+def test_witness_takes_the_shorter_route_to_a_configuration_queued_first_by_a_longer_one():
+    # Distances to t: s 3, b 2, c 1, a 3, x 2, y 1. The search pops s, then
+    # b and c (f = 3), and c queues x after three edges; the c-b-t edge is
+    # rejected. Only then does a (f = 4) reach x after two edges.
+    g = graph([
+        ("s", "a", "1", "a"), ("a", "a", "1", "x"),
+        ("s", "a", "1", "b"), ("b", "a", "1", "c"), ("c", "b", "1", "t"), ("c", "a", "1", "x"),
+        ("x", "a", "1", "y"), ("y", "a", "1", "t"),
+    ])
+    assert witness_path(parse_expr("a*"), g, {}, "s", "t") == [
+        ("s", "a", "1", "a"), ("a", "a", "1", "x"), ("x", "a", "1", "y"), ("y", "a", "1", "t")]
+
+
+def test_witness_ends_when_a_final_configuration_is_popped_not_when_queued():
+    # The search pops s, then t after a (f = 1), which queues t after a.b
+    # (f = 2) on top of y after c; that one queues t final after a.b.b
+    # (f = 3) before y queues t final after c.c (f = 2).
+    g = graph([("s", "a", "1", "t"), ("t", "b", "1", "t"), ("s", "c", "1", "y"), ("y", "c", "1", "t")])
+    assert witness_path(parse_expr("a.b.b+c.c"), g, {}, "s", "t") == [
+        ("s", "c", "1", "y"), ("y", "c", "1", "t")]
+
+
+def test_sat_gadget_witnesses_are_shortest_and_accepted():
+    rng = random.Random(73)
+    satisfiable = 0
+    for k in (4, 5):
+        names = [f"p{j}" for j in range(1, k + 1)]
+        for _ in range(4):
+            text = " & ".join(
+                "(" + " | ".join(("" if rng.random() < 0.5 else "!") + a
+                                 for a in rng.sample(names, 3)) + ")"
+                for _ in range(round(4.3 * k))
+            )
+            phi = parse_nnf(text)
+            out = sat_reduction(phi, names)
+            g = out.graph
+            path = witness_path(out.expr, g, {}, g.source, g.sink)
+            truth = any(brute_formula(phi, {a for a, bit in zip(names, bits) if bit})
+                        for bits in itertools.product((0, 1), repeat=k))
+            assert (path is not None) == truth, text
+            if path is None:
+                continue
+            satisfiable += 1
+            assert len(path) == shortest_witness_length(out.expr, g, {}, g.source, g.sink)
+            assert member(out.expr, tuple((letter, value) for _, letter, value, _ in path), {})
+    assert satisfiable >= 3
+
+
+def test_a_graph_builds_its_adjacency_once():
+    edges = [("u", "a", "1", "v"), ("v", "b", "2", "u"), ("u", "b", "2", "w")]
+    g = graph(edges, source="u")
+    dump = pickle.dumps(g)
+    adj = g.out_edges()
+    assert adj is g.out_edges()
+    assert adj == {"u": [("u", "a", "1", "v"), ("u", "b", "2", "w")],
+                   "v": [("v", "b", "2", "u")], "w": []}
+    assert pickle.dumps(g) == dump
+    copy = pickle.loads(dump)
+    assert copy == g and hash(copy) == hash(g)
+    assert copy.out_edges() == adj and copy.out_edges() is not adj
+    fresh = graph(edges, source="u")
+    assert fresh == g and hash(fresh) == hash(g)
+    assert fresh.out_edges() == adj and fresh.out_edges() is not adj
 
 
 def test_oracle_bound_counts_as_the_built_automata_do():

@@ -1,11 +1,16 @@
 """Reduction gadgets against their brute-force oracles."""
 
+import hashlib
+import io
 import itertools
+import random
+from contextlib import redirect_stdout
 
 import pytest
 
 import rewb.expr as E
 from rewb import classify, free_vars
+from rewb.cli import main
 from rewb.errors import ValidationError
 from rewb.evaluate import connected
 from rewb.gadgets import (
@@ -25,7 +30,7 @@ from rewb.gadgets import (
     sat_reduction,
     wqsat_reduction,
 )
-from rewb.syntax import parse_expr
+from rewb.syntax import parse_expr, print_graph
 
 from oracles import nnf_formulas
 
@@ -49,6 +54,37 @@ def test_formula_graph_node_counts():
     assert len(formula_graph(Pos("pr1"), ["pr1"]).nodes) == 7
     assert len(formula_graph(FAnd((Pos("pr1"), Pos("pr1"))), ["pr1"]).nodes) == 11
     assert len(formula_graph(FIGURE, ["pr1", "pr2", "pr3", "pr4"]).nodes) == 25
+
+
+def _sat_shapes():
+    """Two random 3-CNFs at 4, 5 and 6 atoms with 4.3 clauses per atom,
+    the SAT shapes of the reduction benchmark."""
+    for k in (4, 5, 6):
+        rng = random.Random(k)
+        for _ in range(2):
+            clauses = [
+                "(" + " | ".join(("" if rng.random() < 0.5 else "!") + f"p{a}"
+                                 for a in rng.sample(range(1, k + 1), 3)) + ")"
+                for _ in range(round(4.3 * k))
+            ]
+            yield " & ".join(clauses), [f"p{a}" for a in range(1, k + 1)]
+
+
+# sha256 of the rendered graphs of ``_sat_shapes`` as the gadget built them
+# from the formula graph plus the atom chain in two steps
+SAT_GRAPHS_SHA256 = "092b597842dba278e9d0a2058250e9922a9a3c2d1fe6a04bab57cf102438de3b"
+
+
+def test_sat_gadget_graphs_are_unchanged(tmp_path):
+    from_api, from_cli = hashlib.sha256(), hashlib.sha256()
+    out_graph = tmp_path / "g.graph"
+    for text, atoms in _sat_shapes():
+        from_api.update(print_graph(sat_reduction(parse_nnf(text), atoms).graph).encode())
+        with redirect_stdout(io.StringIO()):
+            assert main(["gadget", "sat", "--formula", text, "--atoms", ",".join(atoms),
+                         "--out-graph", str(out_graph)]) == 0
+        from_cli.update(out_graph.read_bytes())
+    assert from_api.hexdigest() == from_cli.hexdigest() == SAT_GRAPHS_SHA256
 
 
 def test_formula_graph_single_literal_edge_labels():
