@@ -18,10 +18,13 @@ hierarchical view, with no epsilon transitions.
   transitions with store actions: a binder contributes its head letter
   with a store, a conditioned letter contributes its guard. Acceptance is
   defined over configurations (state, valuation); the language equals the
-  expression's language for every compatible starting valuation. It fixes
-  one register slot per variable and compiles each guard once to a
-  generated function of the register tuple, so a search runs without
-  re-interpreting guards.
+  expression's language for every compatible starting valuation. Its
+  registers have one slot per free variable and one per binder nesting
+  depth, which the binders at that depth share. For the configuration
+  searches it compiles each guard once to a generated function of the
+  register tuple, so a search runs without re-interpreting guards, and it
+  empties a binder's register at the moves where it dies (no later guard
+  reads it before a store), so runs that differ only in dead values meet.
 
 Both constructions require the input to be well-named (binder names
 pairwise distinct and disjoint from the free variables); ``alpha_rename``
@@ -31,6 +34,8 @@ produces such a form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
 from . import expr as E
 from .errors import ValidationError
@@ -78,30 +83,29 @@ class RegisterNfa:
 
     State 0 is initial; occurrence ``i`` is state ``i + 1`` with label
     ``labels[i]`` = (letter, guard, store), ``guard`` a Condition or None
-    (always true) and ``store`` a variable or None. ``arcs`` are the sorted
-    (src, dst) pairs and ``transitions`` the (src, letter, guard, store, dst)
-    tuple in their order.
+    (always true) and ``store`` a variable or None. ``transitions`` are the
+    (src, letter, guard, store, dst) tuples in sorted (src, dst) order, and
+    ``index[state]`` maps each letter to the entries (guard, store, dst) of
+    the moves out of ``state`` on it, which ``moves`` returns. All arcs into
+    a position share its one entry.
 
-    Registers are a tuple with one slot per variable of ``slots``.
-    ``index[state]`` maps each letter to the entries (guard, store, dst,
-    test, slot) of the moves out of ``state`` on it, which ``moves``
-    returns: ``test`` is the guard compiled over registers, ``slot`` the
-    store's index (each None where the guard or store is). All arcs into a
-    position share its one entry.
+    Registers are a tuple of ``width`` slots, and ``slot`` maps each
+    variable to its slot. The free variables ``free`` take the first slots
+    in sorted order, then each binder nesting depth takes one slot, shared
+    by the binders at that depth (see ``register_nfa``). ``search_index``
+    is ``index`` in the form the configuration searches run, built on first
+    use; see there for where registers are cleared.
     """
 
-    def __init__(self, labels, finals, arcs):
+    def __init__(self, labels, finals, arcs, free, slot):
         self.states = frozenset(range(len(labels) + 1))
         self.initial = 0
         self.finals = frozenset(finals)
-        names = {store for _, _, store in labels if store is not None}
-        names.update(*(E.cond_vars(guard) for _, guard, _ in labels if guard))
-        self.slots = tuple(sorted(names))
-        slot = {var: i for i, var in enumerate(self.slots)}
-        entries = [
-            (guard, store, dst, guard and E.compile_cond(guard, slot), slot.get(store))
-            for dst, (_, guard, store) in enumerate(labels, start=1)
-        ]
+        self.labels = labels
+        self.free = free
+        self.slot = slot
+        self.width = max(slot.values(), default=-1) + 1
+        entries = [(guard, store, dst) for dst, (_, guard, store) in enumerate(labels, start=1)]
         transitions = []
         index = [{} for _ in self.states]
         for src, dst in arcs:
@@ -113,6 +117,81 @@ class RegisterNfa:
 
     def moves(self, state, letter):
         return self.index[state].get(letter, ())
+
+    @cached_property
+    def liveness(self):
+        """(live, clear): per state, bitmasks over the slots.
+
+        A slot is live at a state if some path from it reads the slot in a
+        guard before a store overwrites it. ``clear[q]`` holds the slots a
+        move into position ``q`` empties: the binder slots dead at ``q``
+        that may hold a value on entry, live at some predecessor or stored
+        by the move itself. Computed backward over predecessor lists, once
+        per automaton.
+
+        Clearing pays only where it makes configurations meet that would
+        otherwise each be searched on. So it leaves out the free-variable
+        slots (nothing stores to them, so within one search a dead one
+        holds the same value in every configuration) and positions with no
+        moves out (nothing is searched on from them). Every position is
+        reachable, so the slots dead at state 0 are the binders', which a
+        search starts empty.
+        """
+        n = len(self.states)
+        reads, stores = [0] * n, [0] * n
+        for q, (_letter, guard, store) in enumerate(self.labels, start=1):
+            if guard is not None:
+                for var in E.cond_vars(guard):
+                    reads[q] |= 1 << self.slot[var]
+            if store is not None:
+                stores[q] = 1 << self.slot[store]
+        preds = [[] for _ in range(n)]
+        for src, _letter, _guard, _store, dst in self.transitions:
+            preds[dst].append(src)
+        live = [0] * n
+        todo = [q for q in range(n) if reads[q]]
+        while todo:
+            q = todo.pop()
+            need = reads[q] | live[q] & ~stores[q]  # live on the arcs into q
+            for p in preds[q]:
+                if need & ~live[p]:
+                    live[p] |= need
+                    todo.append(p)
+        binders = -1 << len(self.free)
+        clear = []
+        for q in range(n):
+            entering = stores[q]
+            for p in preds[q]:
+                entering |= live[p]
+            clear.append(entering & ~live[q] & binders if self.index[q] else 0)
+        return live, clear
+
+    @cached_property
+    def search_index(self):
+        """``index`` with entries (dst, test, splice), for the searches.
+
+        ``test`` is the guard compiled over registers (None for no guard).
+        ``splice`` is None when the move leaves the registers as they are;
+        otherwise ``splice(regs + (d, UNSET))`` is the register tuple after
+        the move reads value ``d``: the store put in its slot and the slots
+        of ``liveness``'s ``clear`` emptied, in one step. So configurations
+        that differ only in dead registers become one.
+        """
+        width = self.width
+        _live, clear = self.liveness
+        made = [None]
+        for dst, (_letter, guard, store) in enumerate(self.labels, start=1):
+            test = guard and E.compile_cond(guard, self.slot)
+            stored = self.slot.get(store)
+            plan = [width + 1 if clear[dst] >> i & 1 else width if i == stored else i for i in range(width)]
+            if store is None and not clear[dst]:
+                splice = None
+            elif width == 1:
+                splice = itemgetter(slice(plan[0], plan[0] + 1))
+            else:
+                splice = itemgetter(*plan)
+            made.append((dst, test, splice))
+        return [{letter: [made[m[2]] for m in ms] for letter, ms in out.items()} for out in self.index]
 
 
 def _require_well_named(e):
@@ -184,7 +263,15 @@ def _glushkov(e, leaf, head=None):
 
 
 def register_nfa(e: E.Rewb) -> RegisterNfa:
-    """Flatten ``e`` to a guarded NFA; requires ``e`` well-named."""
+    """Flatten ``e`` to a guarded NFA; requires ``e`` well-named.
+
+    Slots are allocated by binder depth: the free variables first, then one
+    slot per depth of binder nesting. Two binders at one depth never enclose
+    each other, and a binder's variable is read only inside its body, which
+    a run enters only through the binder's head, where it stores the
+    variable. So between that store and any read of it, no other binder at
+    the same depth runs, and the binders at one depth can share a slot.
+    """
     _require_well_named(e)
 
     def leaf(node):
@@ -194,7 +281,17 @@ def register_nfa(e: E.Rewb) -> RegisterNfa:
             return node.letter, node.cond, None
         return None
 
-    return RegisterNfa(*_glushkov(e, leaf, lambda node: (node.letter, None, node.var)))
+    free = tuple(sorted(e.free))
+    slot = {var: i for i, var in enumerate(free)}
+    stack = [(e, len(free))] if e.bound else []
+    while stack:  # the binders, skipping subtrees that bind nothing
+        node, depth = stack.pop()
+        if isinstance(node, E.Bind):
+            slot[node.var] = depth
+            depth += 1
+        stack += [(child, depth) for child in E.children(node) if child.bound]
+    labels, finals, arcs = _glushkov(e, leaf, lambda node: (node.letter, None, node.var))
+    return RegisterNfa(labels, finals, arcs, free, slot)
 
 
 def hier_automaton(e: E.Rewb) -> HierAutomaton:

@@ -13,12 +13,17 @@ other:
   stratified engine runs it on binding-free blocks. ``witness_path``
   searches the same configurations goal-directed instead: A* ordered by
   edges taken plus the graph distance to the target, keeping parent links
-  to read off a shortest path. Each search numbers the register tuples it
-  meets, so a configuration is (node, state, tuple number) and a tuple is
-  hashed only when a store makes a new one. It tests each guard with one
-  call of its generated function and splices stored values into the
-  tuple; ``member`` and ``eval_oracle`` interpret guards over dict
-  valuations instead, as a check on the compiled form.
+  to read off a shortest path. A register tuple has one slot per free
+  variable and one per binder nesting depth, shared by the binders at that
+  depth. Each search numbers the register tuples it meets, so a
+  configuration is (node, state, tuple number) and a tuple is hashed only
+  when a move makes a new one. It tests each guard with one call of its
+  generated function, and a move that stores a value or lets a binder's
+  register die (no later guard reads it before a store) builds the next
+  tuple in one splice that stores the value and empties the dead
+  registers, so configurations that differ only in dead values are one.
+  ``member`` and ``eval_oracle`` interpret guards over dict valuations
+  instead, and keep every binding, as a check on the compiled form.
 
 * ``eval_stratified``: the per-level scheme. It computes the row of the
   query at each source node: the nodes that a path from it in the
@@ -44,13 +49,17 @@ other:
 
 Every entry point reads an expression's free variables from its node
 (``free``) and takes its register NFA from one cached compile step
-(``_compiled``), which renames the expression once and builds the NFA
-from the position construction's transitions as they come. Expressions
-with free variables are evaluated under an explicit valuation covering
-them ("compatible"); the ``*_any`` variants close them off by
-enumerating input data values plus one shared fresh value, which suffices
-because conditions only compare a variable against the current letter's
-value, never variables against each other.
+(``_compiled``), which builds the NFA from the position construction's
+transitions as they come. A tree that is not well-named is renamed first,
+and the renaming is shared (``_renamed``): the stratified engine walks the
+one the compile step made, while it lives. The register liveness and the
+compiled guards are made when a search first runs on an NFA, so
+``member`` never pays for them. Expressions with free variables are
+evaluated under an explicit valuation covering them ("compatible"); the
+``*_any`` variants close them off by enumerating input data values plus
+one shared fresh value, which suffices because conditions only compare a
+variable against the current letter's value, never variables against
+each other.
 
 The empty word is in the language of every epsilon-accepting expression,
 so such queries put (v, v) in the result for every node v.
@@ -59,6 +68,7 @@ so such queries put (v, v) in the result for every node v.
 from __future__ import annotations
 
 import itertools
+import weakref
 from functools import lru_cache
 
 from . import expr as E
@@ -81,10 +91,29 @@ def _check_covers(free, val):
         )
 
 
+_renamings = weakref.WeakValueDictionary()
+
+
+def _renamed(e):
+    """A well-named form of ``e``: ``e`` itself if it is one, else
+    ``alpha_rename(e)``, shared by every caller for as long as one holds it.
+
+    The stratified engine's plan cache holds the renamings it walks, so a
+    tree it evaluates is renamed once. Compiling needs a renaming only while
+    it builds the NFA, so the flat engine does not keep a 12k-node one alive.
+    """
+    if e.well_named:
+        return e
+    renamed = _renamings.get(e)
+    if renamed is None:
+        renamed = _renamings[e] = E.alpha_rename(e)
+    return renamed
+
+
 @lru_cache(maxsize=256)
 def _compiled(e):
     """Register NFA of the renaming of ``e``; a cached call hashes ``e`` in O(1)."""
-    return register_nfa(E.alpha_rename(e))
+    return register_nfa(_renamed(e))
 
 
 def _checked_nfa(e, val):
@@ -109,7 +138,7 @@ def _member(nfa, w, val):
     for letter, d in w:
         nxt = {}
         for (q, vk), v in configs.items():
-            for guard, store, q2, _test, _slot in index[q].get(letter, ()):
+            for guard, store, q2 in index[q].get(letter, ()):
                 if guard is None or E.satisfies(guard, d, v):
                     if store is None:
                         nxt.setdefault((q2, vk), v)
@@ -144,18 +173,20 @@ def member_any(e: E.Rewb, w: DataWord) -> bool:
 def _search(nfa, adj, val, start, target=None):
     """Depth-first search over configurations (node, state, register tuple number).
 
-    Starts from ``start`` in the initial state with registers ``val`` (as
-    a tuple over ``nfa.slots``) and follows graph edges through the NFA's
-    compiled moves. The search numbers each register tuple it meets, in
-    the order met, and keys a configuration by that number, so a tuple is
-    hashed only where a store makes one. Returns a dict mapping each node
-    reached in a final state to the first configuration that reached it
-    there. With ``target`` set, stops as soon as the target is in that
-    dict; depth-first order meets a reachable target after fewer
+    Starts from ``start`` in the initial state with ``val`` in the free
+    variables' slots and follows graph edges through the NFA's
+    ``search_index``, whose moves store values and empty the registers that
+    die there in one splice. The search numbers each register tuple it
+    meets, in the order met, and keys a configuration by that number, so a
+    tuple is hashed only where a move changes one. Returns a dict mapping
+    each node reached in a final state to the first configuration that
+    reached it there. With ``target`` set, stops as soon as the target is
+    in that dict; depth-first order meets a reachable target after fewer
     configurations than breadth-first on the reduction gadgets.
     """
     finals = nfa.finals
-    index = nfa.index
+    index = nfa.search_index
+    unset = E.UNSET
     regs = _registers(nfa, val)
     tuples = [regs]
     number = {regs: 0}
@@ -177,13 +208,13 @@ def _search(nfa, adj, val, start, target=None):
             if entries is None:
                 continue
             d, dst = edge[2], edge[3]
-            for _guard, _store, q2, test, slot in entries:
+            for q2, test, splice in entries:
                 if test is not None and not test(d, regs):
                     continue
-                if slot is None:
+                if splice is None:
                     k2 = (dst, q2, r)
                 else:
-                    stored = regs[:slot] + (d,) + regs[slot + 1 :]
+                    stored = splice(regs + (d, unset))
                     r2 = number.get(stored)
                     if r2 is None:
                         r2 = number[stored] = len(tuples)
@@ -201,8 +232,9 @@ def _search(nfa, adj, val, start, target=None):
 
 
 def _registers(nfa, val):
-    """The register tuple of ``val`` over ``nfa.slots``."""
-    return tuple(val.get(var, E.UNSET) for var in nfa.slots)
+    """The initial register tuple: ``val`` in the free-variable slots, the
+    binders' slots (dead at state 0) empty."""
+    return tuple(val.get(var, E.UNSET) for var in nfa.free) + (E.UNSET,) * (nfa.width - len(nfa.free))
 
 
 def _all_pairs(nfa, nodes, adj, val):
@@ -245,8 +277,9 @@ def witness_path(e: E.Rewb, g: DataGraph, val, u, v):
     The returned edge list's label sequence is accepted by ``e`` under
     ``val``, and no shorter such path exists. The search is A* over the
     configurations (node, state, register tuple number) that ``_search``
-    uses, ordered by f = g + h: g counts the edges taken, and h is the
-    fewest edges from the node to ``v`` in the graph with labels ignored.
+    uses, dead registers emptied alike, ordered by f = g + h: g counts the
+    edges taken, and h is the fewest edges from the node to ``v`` in the
+    graph with labels ignored.
     h never overestimates and drops by at most one per edge, so f never
     decreases along a route and the first final configuration at ``v``
     to be popped ends a shortest path. The queue is a list of buckets, one
@@ -263,7 +296,8 @@ def witness_path(e: E.Rewb, g: DataGraph, val, u, v):
     if u not in dist:
         return None
     finals = nfa.finals
-    index = nfa.index
+    index = nfa.search_index
+    unset = E.UNSET
     adj = g.out_edges()
     regs = _registers(nfa, val)
     tuples = [regs]
@@ -300,13 +334,13 @@ def witness_path(e: E.Rewb, g: DataGraph, val, u, v):
                 h = dist.get(dst)
                 if h is None:
                     continue
-                for _guard, _store, q2, test, slot in entries:
+                for q2, test, splice in entries:
                     if test is not None and not test(d, regs):
                         continue
-                    if slot is None:
+                    if splice is None:
                         k2 = (dst, q2, r)
                     else:
-                        stored = regs[:slot] + (d,) + regs[slot + 1 :]
+                        stored = splice(regs + (d, unset))
                         r2 = number.get(stored)
                         if r2 is None:
                             r2 = number[stored] = len(tuples)
@@ -325,11 +359,10 @@ def witness_path(e: E.Rewb, g: DataGraph, val, u, v):
 
 
 def _distances_to(g, v):
-    """Fewest edges from each node to ``v``, labels ignored; a node with no
-    path to ``v`` is absent."""
-    preds = {node: [] for node in g.nodes}
-    for src, _letter, _value, dst in g.edges:
-        preds[dst].append(src)
+    """Fewest edges from each node to ``v``, labels ignored, by a
+    breadth-first search over the graph's shared reverse adjacency; a node
+    with no path to ``v`` is absent."""
+    preds = g.in_nodes()
     dist = {v: 0}
     frontier = [v]
     step = 0
@@ -353,7 +386,7 @@ def eval_stratified(e: E.Rewb, g: DataGraph, val=None) -> set:
     """Per-level evaluation; same result set as eval_flat."""
     val = dict(val or {})
     _check_covers(e.free, val)
-    renamed = E.alpha_rename(e)
+    renamed = _renamed(e)
     adj = g.out_edges()
     val = {v: val[v] for v in e.free}
     memo = {}
@@ -479,7 +512,7 @@ def eval_oracle(
                     outvals = {}
                     for q, vk in cs:
                         v = vals[vk]
-                        for guard, store, q2, _test, _slot in nfa.moves(q, letter):
+                        for guard, store, q2 in nfa.moves(q, letter):
                             if guard is not None and not E.satisfies(guard, d, v):
                                 continue
                             if store is None:

@@ -26,7 +26,7 @@ Each node carries its level, size, free variables, binder names and
 whether it is well-named, computed once from its children's when it is
 first made. ``satisfies`` interprets a condition over a dict valuation (the
 reference semantics); ``compile_cond`` turns it into one generated function
-of a register tuple with one slot per variable.
+of a register tuple, given the slot of each variable.
 """
 
 from __future__ import annotations
@@ -98,20 +98,27 @@ def satisfies(c: Condition, d: DataValue, val: Valuation) -> bool:
 
     Raises UndefinedVariableError when the condition mentions a variable
     that ``val`` does not define; satisfaction against an undefined
-    variable is an error, never a truth value. The right side of an And or
-    Or is followed in a loop, so right-associated chains of any length
-    take no recursion.
+    variable is an error, never a truth value. Evaluated left to right with
+    the usual short cuts, on an explicit stack, so a condition of any depth
+    takes no recursion.
     """
-    while isinstance(c, (And, Or)):
-        left = satisfies(c.left, d, val)
-        if left != isinstance(c, And):  # And stops at False, Or at True
-            return left
-        c = c.right
-    if isinstance(c, Not):
-        return not satisfies(c.body, d, val)
-    if c.var not in val:
-        raise UndefinedVariableError(f"variable {c.var} has no value")
-    return val[c.var] == d if isinstance(c, Eq) else val[c.var] != d
+    pending = []  # Not nodes, and And/Or nodes whose left side is under way
+    while True:
+        while not isinstance(c, (Eq, Neq)):
+            pending.append(c)
+            c = c.body if isinstance(c, Not) else c.left
+        if c.var not in val:
+            raise UndefinedVariableError(f"variable {c.var} has no value")
+        result = val[c.var] == d if isinstance(c, Eq) else val[c.var] != d
+        while pending:
+            node = pending.pop()
+            if isinstance(node, Not):
+                result = not result
+            elif result == isinstance(node, And):  # And goes on at True, Or at False
+                c = node.right  # whose value is then the whole node's
+                break
+        else:
+            return result
 
 
 # The value of a register that no binder has stored to yet.

@@ -213,7 +213,7 @@ def shortest_witness_length(e, g, val, u, v):
         nxt = {}
         for (node, q, _), cur in layer.items():
             for _, letter, d, dst in adj[node]:
-                for guard, store, q2, _test, _slot in nfa.moves(q, letter):
+                for guard, store, q2 in nfa.moves(q, letter):
                     if guard is not None and not E.satisfies(guard, d, cur):
                         continue
                     new = cur if store is None else {**cur, store: d}
@@ -224,6 +224,38 @@ def shortest_witness_length(e, g, val, u, v):
         layer = nxt
         length += 1
     return None
+
+
+def reachable_finals(e, g, val, u):
+    """The nodes a data path from ``u`` in the language of ``e`` reaches
+    under ``val``, by a search over configurations (node, state, dict
+    valuation) that interprets guards with ``satisfies``.
+
+    It explores every configuration, so it raises UndefinedVariableError
+    exactly when some reachable move's guard reads a variable that has no
+    value.
+    """
+    nfa = register_nfa(E.alpha_rename(e))
+    adj = g.out_edges()
+    start = (u, 0, tuple(sorted(val.items())))
+    seen = {start: dict(val)}
+    todo = [start]
+    hits = {u} if 0 in nfa.finals else set()
+    while todo:
+        key = todo.pop()
+        cur = seen[key]
+        for _, letter, d, dst in adj[key[0]]:
+            for guard, store, q2 in nfa.moves(key[1], letter):
+                if guard is not None and not E.satisfies(guard, d, cur):
+                    continue
+                new = cur if store is None else {**cur, store: d}
+                k2 = (dst, q2, tuple(sorted(new.items())))
+                if k2 not in seen:
+                    seen[k2] = new
+                    todo.append(k2)
+                    if q2 in nfa.finals:
+                        hits.add(dst)
+    return hits
 
 
 # ---------------------------------------------------------------------------

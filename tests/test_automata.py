@@ -15,8 +15,10 @@ from rewb.automata import (
 )
 from rewb.errors import ValidationError
 from rewb.evaluate import member
+from rewb.gadgets import eval_expr
+from rewb.pcp import PcpInstance, pcp_delta
 from rewb.randgen import random_expr, random_valuation, random_word
-from rewb.syntax import parse_expr
+from rewb.syntax import parse_expr, print_cond
 
 from oracles import recursive_member
 
@@ -167,3 +169,76 @@ def test_language_agreement_with_recursive_semantics():
         for _ in range(8):
             w = random_word(rng, 6)
             assert member(e, w, val) == recursive_member(e, w, val)
+
+
+def _binder_depth(e):
+    if isinstance(e, E.Bind):
+        return 1 + _binder_depth(e.body)
+    return max((_binder_depth(k) for k in E.children(e)), default=0)
+
+
+def test_slots_are_free_variables_then_one_per_binder_depth():
+    rng = random.Random(89)
+    for _ in range(500):
+        e = E.alpha_rename(random_expr(rng, 12, ("a", "b", "c"), ("x", "y", "z"), max_e_level=3))
+        nfa = register_nfa(e)
+        assert nfa.width == len(e.free) + _binder_depth(e)
+        assert nfa.free == tuple(sorted(e.free))
+        assert [nfa.slot[v] for v in nfa.free] == list(range(len(e.free)))
+        assert set(nfa.slot) == e.free | e.bound
+    nested = register_nfa(E.alpha_rename(parse_expr("a@x(b@y(c[x=])).d@z(e[z=])")))
+    assert nested.width == 2 and nested.slot["x_1"] == nested.slot["z_3"] == 0
+    delta = register_nfa(E.alpha_rename(pcp_delta(PcpInstance((("a", "ab"), ("bb", "b"))), 2)))
+    assert delta.width == 4 and len(delta.slot) > 600
+
+
+def _clears(text):
+    """The register NFA of ``text`` and {(letter, guard or store): slots
+    cleared by the moves into that position}; the slots as sets of indices."""
+    nfa = register_nfa(E.alpha_rename(parse_expr(text)))
+    clear = nfa.liveness[1]
+    out = {}
+    for q, (letter, guard, store) in enumerate(nfa.labels, start=1):
+        out[letter, print_cond(guard) if guard else store] = {i for i in range(nfa.width) if clear[q] >> i & 1}
+    return nfa, out
+
+
+def test_registers_are_cleared_where_they_die():
+    nfa, clears = _clears("(a@x((b@y(c[y!=]))*.a[x=]))*")
+    x, y = nfa.slot["x_1"], nfa.slot["y_2"]
+    assert clears == {("a", "x_1"): set(), ("b", "y_2"): set(), ("c", "y_2!="): {y}, ("a", "x_1="): {x}}
+    nfa, clears = _clears("a@x(b@y(c[x=])).d@z(e[z=])")
+    x, y, z = nfa.slot["x_1"], nfa.slot["y_2"], nfa.slot["z_3"]
+    # y is never read, so its store is dropped at once; nothing follows e
+    assert clears == {("a", "x_1"): set(), ("b", "y_2"): {y}, ("c", "x_1="): {x},
+                      ("d", "z_3"): set(), ("e", "z_3="): set()}
+    _nfa, clears = _clears("a[z=].b[z=].c")
+    assert not any(clears.values())  # z is free
+    gadget = register_nfa(E.alpha_rename(eval_expr(3)))
+    assert not any(gadget.liveness[1])
+
+
+def test_liveness_agrees_with_a_search_for_the_next_read():
+    # a slot is live at q when some path from q reads it before a store to it
+    rng = random.Random(97)
+    for _ in range(300):
+        e = E.alpha_rename(random_expr(rng, 12, ("a", "b", "c"), ("x", "y", "z"), max_e_level=3))
+        nfa = register_nfa(e)
+        succ = {q: [] for q in nfa.states}
+        for src, _letter, _guard, _store, dst in nfa.transitions:
+            succ[src].append(dst)
+        live, clear = nfa.liveness
+        # the initial tuple needs no clearing
+        assert live[0] == (1 << len(nfa.free)) - 1 and clear[0] == 0
+        for q in nfa.states:
+            for i in range(nfa.width):
+                found, seen, todo = False, {q}, [q]
+                while todo and not found:
+                    for q2 in succ[todo.pop()]:
+                        _letter, guard, store = nfa.labels[q2 - 1]
+                        if guard is not None and i in {nfa.slot[v] for v in E.cond_vars(guard)}:
+                            found = True
+                        elif (store is None or nfa.slot[store] != i) and q2 not in seen:
+                            seen.add(q2)
+                            todo.append(q2)
+                assert bool(live[q] >> i & 1) == found

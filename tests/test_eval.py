@@ -1,5 +1,6 @@
 """Evaluation engines: membership, reachability, agreement, witnesses."""
 
+import gc
 import itertools
 import pickle
 import random
@@ -10,9 +11,10 @@ import pytest
 import rewb.expr as E
 from rewb.automata import hier_automaton
 from rewb.data import fresh_value, graph, word_values
-from rewb.errors import BudgetError, CompatibilityError
+from rewb.errors import BudgetError, CompatibilityError, UndefinedVariableError
 from rewb.evaluate import (
     _compiled,
+    _search,
     connected,
     eval_any,
     eval_flat,
@@ -24,10 +26,11 @@ from rewb.evaluate import (
     witness_path,
 )
 from rewb.gadgets import brute_formula, parse_nnf, sat_reduction
+from rewb.pcp import MUTATION_KINDS, PcpInstance, pcp_delta, pcp_encode, pcp_mutate
 from rewb.randgen import random_expr, random_graph, random_valuation, random_word
 from rewb.syntax import parse_expr, parse_word, print_expr
 
-from oracles import brute_pairs, shortest_witness_length
+from oracles import brute_pairs, reachable_finals, shortest_witness_length
 
 LETTERS3 = ("a", "b", "c")
 VARIABLES3 = ("x", "y", "z")
@@ -430,6 +433,98 @@ def test_a_graph_builds_its_adjacency_once():
     fresh = graph(edges, source="u")
     assert fresh == g and hash(fresh) == hash(g)
     assert fresh.out_edges() == adj and fresh.out_edges() is not adj
+
+
+def test_a_graph_builds_its_reverse_adjacency_once():
+    edges = [("u", "a", "1", "v"), ("v", "b", "2", "u"), ("u", "b", "2", "v")]
+    g = graph(edges, nodes=["w"])
+    dump = pickle.dumps(g)
+    preds = g.in_nodes()
+    assert preds is g.in_nodes()
+    assert {n: sorted(srcs) for n, srcs in preds.items()} == {"u": ["v"], "v": ["u", "u"], "w": []}
+    assert witness_path(E.Atom("a"), g, {}, "u", "v") == [("u", "a", "1", "v")]
+    assert g.in_nodes() is preds
+    assert pickle.dumps(g) == dump
+    copy = pickle.loads(dump)
+    assert copy == g and hash(copy) == hash(g)
+    assert copy.in_nodes() == preds and copy.in_nodes() is not preds
+    fresh = graph(edges, nodes=["w"])
+    assert fresh == g and hash(fresh) == hash(g)
+    assert fresh.in_nodes() == preds and fresh.in_nodes() is not preds
+
+
+def test_eval_stratified_renames_a_tree_once(monkeypatch):
+    import rewb.evaluate as ev
+
+    e = parse_expr("(a@once((b@twice(a[twice!=]))*.b[once=]))*.a@once(b[once!=])")
+    assert not e.well_named
+    calls = []
+    rename = E.alpha_rename
+
+    def counting(node):
+        calls.append(node)
+        return rename(node)
+
+    monkeypatch.setattr(E, "alpha_rename", counting)
+    first = eval_stratified(e, CYCLE)
+    assert eval_stratified(e, CYCLE) == first
+    assert eval_flat(e, CYCLE) == first
+    assert calls == [e]  # its renaming and the blocks of it are well-named
+    # compiling alone keeps no renaming alive
+    other = parse_expr("(a@renamed(b[renamed=]))*.a@renamed(b)")
+    eval_flat(other, CYCLE)
+    gc.collect()
+    assert calls.count(other) == 1 and other not in ev._renamings
+    # a well-named tree is its own renaming
+    named = parse_expr("(a@named(b[named!=]))*")
+    assert eval_stratified(named, CYCLE) == eval_flat(named, CYCLE)
+    assert named not in calls
+
+
+def _path_graph(w):
+    return graph([(f"n{k}", letter, value, f"n{k + 1}") for k, (letter, value) in enumerate(w)], nodes=["n0"])
+
+
+@pytest.mark.parametrize("i", [1, 2])
+def test_connected_on_pcp_word_paths_agrees_with_member_any(i):
+    # the deltas bind hundreds of variables, at most i + 2 of them open at once
+    inst = PcpInstance((("a", "ab"), ("bb", "b")))
+    delta = pcp_delta(inst, i)
+    assert not delta.free
+    enc = pcp_encode(inst, [1, 2], i)
+    words = [enc] + [pcp_encode(inst, seq, i, allow_nonsolution=True) for seq in ([1], [2], [2, 1], [1, 2, 2])]
+    words += [pcp_mutate(enc, kind, seed) for kind in MUTATION_KINDS for seed in range(2)]
+    verdicts = set()
+    for w in words:
+        verdict = member_any(delta, w)
+        assert connected(delta, _path_graph(w), {}, "n0", f"n{len(w)}") == verdict
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_searches_raise_on_unset_variables_exactly_when_a_dict_search_does():
+    # _search runs with a valuation missing some free variables; clearing
+    # dead registers must neither read an emptied one nor skip a read
+    rng = random.Random(83)
+    raised = agreed = 0
+    for _ in range(300):
+        e = random_expr(rng, 12, letters=LETTERS3, variables=VARIABLES3, max_e_level=3)
+        g = random_graph(rng, 4, 9, letters=LETTERS3)
+        val = {v: rng.choice("123") for v in sorted(e.free) if rng.random() < 0.6}
+        nfa, adj = _compiled(e), g.out_edges()
+        for u in sorted(g.nodes):
+            try:
+                expected = reachable_finals(e, g, val, u)
+            except UndefinedVariableError:
+                expected = UndefinedVariableError
+            try:
+                got = set(_search(nfa, adj, val, u))
+            except UndefinedVariableError:
+                got = UndefinedVariableError
+            assert got == expected
+            raised += got is UndefinedVariableError
+            agreed += 1
+    assert 0 < raised < agreed
 
 
 def test_oracle_bound_counts_as_the_built_automata_do():

@@ -275,6 +275,48 @@ def test_generated_guards_agree_with_satisfies_500_deep(side):
     assert len(_check_generated_against_satisfies(c, rng, 200)) > 1
 
 
+def _left_chain(kind, truth, rng):
+    c = _leaf(rng, truth)
+    for _ in range(10_000):
+        c = kind(c, _leaf(rng, truth))
+    return c
+
+
+def _not_chain(rng):
+    c = _leaf(rng, True)
+    for _ in range(10_001):
+        c = E.Not(c)
+    return c
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: _left_chain(E.And, True, rng),
+        lambda rng: _left_chain(E.Or, False, rng),
+        _not_chain,
+    ],
+    ids=["and_left", "or_left", "not"],
+)
+def test_satisfies_agrees_with_generated_guards_ten_thousand_deep(make):
+    # satisfies walks any depth without recursion, and reports the same
+    # unset variable first as the generated guard does
+    rng = random.Random(59)
+    c = make(rng)
+    assert _check_generated_against_satisfies(c, rng, 80) == {True, False, UndefinedVariableError}
+    test = E.compile_cond(c, {v: i for i, v in enumerate(VS)})
+    for var in VS:
+        val = {v: x for v, x in BASE.items() if v != var}
+        regs = tuple(val.get(v, E.UNSET) for v in VS)
+        messages = []
+        for check, args in ((E.satisfies, (c, "2", val)), (test, ("2", regs))):
+            try:
+                messages.append(check(*args))
+            except UndefinedVariableError as err:
+                messages.append(str(err))
+        assert messages[0] == messages[1]
+
+
 def test_guards_of_one_shape_share_their_code():
     first = E.compile_cond(E.And(E.Eq("x"), E.Not(E.Neq("y"))), {"x": 0, "y": 1})
     second = E.compile_cond(E.And(E.Eq("p"), E.Not(E.Neq("q"))), {"p": 3, "q": 2})
