@@ -2,9 +2,11 @@
 
 Two views are built, both by one position (Glushkov) construction,
 ``_glushkov``, which each view gives a function that labels the nodes it
-reads as single positions. The state count is always "letter occurrences
+reads as single positions, and both are one ``PositionAutomaton``: labels,
+finals and the (src, label, dst) transitions as the construction emits
+them, with no epsilon transitions. The state count is "letter occurrences
 + 1" for the flattened view and "meta-letter occurrences + 1" for the
-hierarchical view, with no epsilon transitions.
+hierarchical view.
 
 * ``hier_automaton`` keeps the expression's own level visible: a
   binding-free expression gets Read transitions over its letter
@@ -14,7 +16,8 @@ hierarchical view, with no epsilon transitions.
   those blocks); an expression that is properly F-shaped gets SubExpr
   transitions over its maximal E-level blocks.
 
-* ``register_nfa`` flattens everything to guarded single-letter
+* ``register_nfa`` (a ``RegisterNfa``, the position automaton with a
+  per-state move index) flattens everything to guarded single-letter
   transitions with store actions: a binder contributes its head letter
   with a store, a conditioned letter contributes its guard. Acceptance is
   defined over configurations (state, valuation); the language equals the
@@ -58,36 +61,30 @@ class Read:
     cond: object = None
 
 
-MetaLabel = SubExpr | BindRead | Read
+class PositionAutomaton:
+    """Position automaton over the positions of one view.
+
+    State 0 is initial; position ``i`` is state ``i + 1`` with label
+    ``labels[i]``, which every transition into it carries. ``transitions``
+    are the (src, label, dst) tuples in the order ``_glushkov`` emits its
+    arcs, sorted by (src, dst), which is unique.
+    """
+
+    def __init__(self, labels, finals, arcs):
+        self.states = range(len(labels) + 1)
+        self.finals = frozenset(finals)
+        self.labels = labels
+        self.transitions = tuple((src, labels[dst - 1], dst) for src, dst in arcs)
 
 
-@dataclass(frozen=True)
-class HierAutomaton:
-    states: frozenset
-    initials: frozenset
-    finals: frozenset
-    transitions: frozenset  # of (state, MetaLabel, state)
-
-    def sorted_transitions(self):
-        return sorted(self.transitions, key=_src_dst)
-
-
-def _src_dst(t):
-    # In a position automaton the destination fixes the label, so
-    # (src, dst) is unique.
-    return t[0], t[-1]
-
-
-class RegisterNfa:
+class RegisterNfa(PositionAutomaton):
     """Position automaton over letter occurrences with guards and stores.
 
-    State 0 is initial; occurrence ``i`` is state ``i + 1`` with label
-    ``labels[i]`` = (letter, guard, store), ``guard`` a Condition or None
-    (always true) and ``store`` a variable or None. ``transitions`` are the
-    (src, letter, guard, store, dst) tuples in sorted (src, dst) order, and
-    ``index[state]`` maps each letter to the entries (guard, store, dst) of
-    the moves out of ``state`` on it, which ``moves`` returns. All arcs into
-    a position share its one entry.
+    A label is (letter, guard, store), ``guard`` a Condition or None (always
+    true) and ``store`` a variable or None. ``index[state]`` maps each letter
+    to the entries (guard, store, dst) of the moves out of ``state`` on it,
+    in transition order, which ``moves`` returns. All arcs into a position
+    share its one entry.
 
     Registers are a tuple of ``width`` slots, and ``slot`` maps each
     variable to its slot. The free variables ``free`` take the first slots
@@ -98,21 +95,14 @@ class RegisterNfa:
     """
 
     def __init__(self, labels, finals, arcs, free, slot):
-        self.states = frozenset(range(len(labels) + 1))
-        self.initial = 0
-        self.finals = frozenset(finals)
-        self.labels = labels
+        super().__init__(labels, finals, arcs)
         self.free = free
         self.slot = slot
         self.width = max(slot.values(), default=-1) + 1
         entries = [(guard, store, dst) for dst, (_, guard, store) in enumerate(labels, start=1)]
-        transitions = []
         index = [{} for _ in self.states]
         for src, dst in arcs:
-            letter, guard, store = labels[dst - 1]
-            transitions.append((src, letter, guard, store, dst))
-            index[src].setdefault(letter, []).append(entries[dst - 1])
-        self.transitions = tuple(transitions)
+            index[src].setdefault(labels[dst - 1][0], []).append(entries[dst - 1])
         self.index = index
 
     def moves(self, state, letter):
@@ -146,7 +136,7 @@ class RegisterNfa:
             if store is not None:
                 stores[q] = 1 << self.slot[store]
         preds = [[] for _ in range(n)]
-        for src, _letter, _guard, _store, dst in self.transitions:
+        for src, _label, dst in self.transitions:
             preds[dst].append(src)
         live = [0] * n
         todo = [q for q in range(n) if reads[q]]
@@ -294,7 +284,7 @@ def register_nfa(e: E.Rewb) -> RegisterNfa:
     return RegisterNfa(labels, finals, arcs, free, slot)
 
 
-def hier_automaton(e: E.Rewb) -> HierAutomaton:
+def hier_automaton(e: E.Rewb) -> PositionAutomaton:
     """The generalized automaton at the expression's own level."""
     _require_well_named(e)
     level = E.classify(e)
@@ -328,13 +318,7 @@ def hier_automaton(e: E.Rewb) -> HierAutomaton:
         def leaf(node):
             return SubExpr(node) if E.classify(node).e_level <= block_cut else None
 
-    labels, finals, arcs = _glushkov(e, leaf, head)
-    return HierAutomaton(
-        frozenset(range(len(labels) + 1)),
-        frozenset((0,)),
-        frozenset(finals),
-        frozenset((src, labels[dst - 1], dst) for src, dst in arcs),
-    )
+    return PositionAutomaton(*_glushkov(e, leaf, head))
 
 
 def automaton_size(e: E.Rewb) -> int:
@@ -387,12 +371,9 @@ def dump_automaton(e: E.Rewb) -> str:
     from .syntax import print_cond, print_expr
 
     aut = hier_automaton(e)
-    lines = [
-        f"states {len(aut.states)}",
-        "initial " + " ".join(str(q) for q in sorted(aut.initials)),
-        "final " + " ".join(str(q) for q in sorted(aut.finals)),
-    ]
-    for src, label, dst in aut.sorted_transitions():
+    finals = " ".join(str(q) for q in sorted(aut.finals))
+    lines = [f"states {len(aut.states)}", "initial 0", f"final {finals}"]
+    for src, label, dst in aut.transitions:
         if isinstance(label, Read):
             cond = f"[{print_cond(label.cond)}]" if label.cond is not None else ""
             text = f"read {label.letter}{cond}"

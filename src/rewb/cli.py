@@ -79,7 +79,7 @@ def _cmd_parse(args):
 def _cmd_classify(args):
     e = _expr_arg(args.expr)
     level = E.classify(e)
-    size = automaton_size(E.alpha_rename(e))
+    size = automaton_size(e)
     print(f"F-level: {level.f_level}  E-level: {level.e_level}  aut-size: {size}")
     return 0
 

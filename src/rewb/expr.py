@@ -20,8 +20,9 @@ F-side adds stars over the E-side, the E-side adds bindings over the
 previous F-side. Binding-free expressions sit at F-level 0; E-levels start
 at 1.
 
-Expression nodes are hash-consed: equal trees are one object, so equality
-is identity, hashing costs O(1) and caches keyed by trees never walk them.
+Expression nodes and conditions are hash-consed: equal trees are one
+object, so equality is identity, hashing costs O(1) at any depth and
+caches keyed by trees never walk them.
 Each node carries its level, size, free variables, binder names and
 whether it is well-named, computed once from its children's when it is
 first made. ``satisfies`` interprets a condition over a dict valuation (the
@@ -48,31 +49,62 @@ Valuation = dict  # Var -> DataValue, treated as immutable
 # Conditions
 
 
-@dataclass(frozen=True, slots=True)
-class Eq:
-    var: Var
+class _Interned:
+    """Base of the interned kinds, each listing its fields in ``__match_args__``.
+
+    Values are hash-consed in a weak table keyed by kind and fields, parts
+    by identity: building one equal to a live one returns that one, so
+    equality is identity and hashing costs O(1) at any depth. ``_made`` sets
+    derived fields on a new one. Pickles carry the fields, so loads re-intern.
+    """
+
+    __slots__ = ("__weakref__",)
+    __match_args__ = ()
+    _table = weakref.WeakValueDictionary()
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        made = _Interned._table.get(key)
+        if made is None:
+            made = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields, strict=True):
+                object.__setattr__(made, name, value)
+            made._made()
+            _Interned._table[key] = made
+        return made
+
+    def _made(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True, slots=True)
-class Neq:
-    var: Var
+class Eq(_Interned):
+    __slots__ = __match_args__ = ("var",)
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
-    body: "Condition"
+class Neq(_Interned):
+    __slots__ = __match_args__ = ("var",)
 
 
-@dataclass(frozen=True, slots=True)
-class And:
-    left: "Condition"
-    right: "Condition"
+class Not(_Interned):
+    __slots__ = __match_args__ = ("body",)
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
-    left: "Condition"
-    right: "Condition"
+class And(_Interned):
+    __slots__ = __match_args__ = ("left", "right")
+
+
+class Or(_Interned):
+    __slots__ = __match_args__ = ("left", "right")
 
 
 Condition = Eq | Neq | Not | And | Or
@@ -296,42 +328,16 @@ def _measure(node):
 # Expressions
 
 
-class _Node:
-    """Base of the node kinds, each listing its fields in ``__match_args__``.
+class _Node(_Interned):
+    """Base of the node kinds: interned, with the fields of ``_measure``
+    computed from the children's when a node is first made."""
 
-    Nodes are hash-consed in a weak table keyed by kind and fields, children
-    by identity: building a node equal to a live one returns that node, so
-    equality is identity and hashing costs O(1). The fields of ``_measure``
-    are computed from the children's when a node is first made. Pickles
-    carry the fields only, so loading one re-interns.
-    """
+    __slots__ = ("level", "size", "free", "bound", "well_named")
 
-    __slots__ = ("level", "size", "free", "bound", "well_named", "__weakref__")
-    __match_args__ = ()
-    _table = weakref.WeakValueDictionary()
-
-    def __new__(cls, *fields):
-        key = (cls, *fields)
-        node = _Node._table.get(key)
-        if node is None:
-            node = object.__new__(cls)
-            for name, value in zip(cls.__match_args__, fields, strict=True):
-                object.__setattr__(node, name, value)
-            # _measure returns its fields in the order of __slots__.
-            for name, value in zip(_Node.__slots__, _measure(node)):
-                object.__setattr__(node, name, value)
-            _Node._table[key] = node
-        return node
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} nodes are immutable")
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__name__}({fields})"
+    def _made(self):
+        # _measure returns its fields in the order of __slots__.
+        for name, value in zip(_Node.__slots__, _measure(self)):
+            object.__setattr__(self, name, value)
 
 
 class Eps(_Node):

@@ -31,7 +31,7 @@ def test_hier_level0_chain():
     assert labels == {(0, Read, "a", 1), (1, Read, "b", 2)}
     assert aut.finals == {2}
     conditioned = hier_automaton(parse_expr("a[x=].b"))
-    assert conditioned.transitions == {(0, Read("a", E.Eq("x")), 1), (1, Read("b"), 2)}
+    assert conditioned.transitions == ((0, Read("a", E.Eq("x")), 1), (1, Read("b"), 2))
 
 
 def test_hier_eshape_is_bindread_then_block():
@@ -39,10 +39,10 @@ def test_hier_eshape_is_bindread_then_block():
 
     aut = hier_automaton(parse_expr("a@x(b[x=])"))
     assert len(aut.states) == 3
-    assert aut.transitions == {
+    assert aut.transitions == (
         (0, BindRead("a", "x"), 1),
         (1, SubExpr(parse_expr("b[x=]")), 2),
-    }
+    )
     assert aut.finals == {2}
 
 
@@ -50,7 +50,7 @@ def test_hier_fshape_self_loop():
     aut = hier_automaton(parse_expr("(a@x(b[x=]))*"))
     assert len(aut.states) == 2
     assert (1, SubExpr(parse_expr("a@x(b[x=])")), 1) in aut.transitions
-    assert aut.initials <= aut.finals  # the star accepts the empty word
+    assert 0 in aut.finals  # the star accepts the empty word
 
 
 def test_automaton_sizes_count_the_built_automata():
@@ -125,27 +125,30 @@ def test_register_nfa_guard_variables_are_free_or_binders():
     for _ in range(200):
         e = E.alpha_rename(random_expr(rng, 10))
         allowed = E.free_vars(e) | set(E.binder_vars(e))
-        for _src, _letter, guard, _store, _dst in register_nfa(e).transitions:
+        for _src, (_letter, guard, _store), _dst in register_nfa(e).transitions:
             if guard is not None:
                 assert E.cond_vars(guard) <= allowed
 
 
 
 def test_register_nfa_index_matches_the_full_sort_key():
-    # The destination fixes a transition's label, so sorting by (src, dst)
-    # alone must give every move list, and the hierarchical automaton's
-    # transition list, the order of the full key.
+    # The destination fixes a transition's label, so the order the position
+    # construction emits, by (src, dst), must be that of the full key in
+    # both views' transition lists, and so in every move list.
     rng = random.Random(21)
     for _ in range(300):
         renamed = E.alpha_rename(random_expr(rng, 12, letters=("a", "b", "c")))
         aut = hier_automaton(renamed)
-        assert aut.sorted_transitions() == sorted(
+        assert list(aut.transitions) == sorted(
             aut.transitions, key=lambda t: (t[0], t[2], type(t[1]).__name__, repr(t[1]))
         )
         nfa = register_nfa(renamed)
+        assert list(nfa.transitions) == sorted(
+            nfa.transitions, key=lambda t: (t[0], t[2], t[1][0], repr(t[1][1]), repr(t[1][2]))
+        )
         full = {}
-        for src, letter, guard, store, dst in sorted(
-            nfa.transitions, key=lambda t: (t[0], t[1], t[4], repr(t[2]), repr(t[3]))
+        for src, (letter, guard, store), dst in sorted(
+            nfa.transitions, key=lambda t: (t[0], t[1][0], t[2], repr(t[1][1]), repr(t[1][2]))
         ):
             full.setdefault((src, letter), []).append((guard, store, dst))
         for (src, letter), moves in full.items():
@@ -225,7 +228,7 @@ def test_liveness_agrees_with_a_search_for_the_next_read():
         e = E.alpha_rename(random_expr(rng, 12, ("a", "b", "c"), ("x", "y", "z"), max_e_level=3))
         nfa = register_nfa(e)
         succ = {q: [] for q in nfa.states}
-        for src, _letter, _guard, _store, dst in nfa.transitions:
+        for src, _label, dst in nfa.transitions:
             succ[src].append(dst)
         live, clear = nfa.liveness
         # the initial tuple needs no clearing

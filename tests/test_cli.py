@@ -39,6 +39,19 @@ def test_parse_rename_dumps_the_automaton_of_the_tree_renamed_once():
     assert out.endswith(run(["parse", "a@x(b[x=])", "--dump-automaton"])[1])
 
 
+@pytest.mark.parametrize("text, dump", [
+    ("a[x=].b*", "states 3\ninitial 0\nfinal 1 2\n0 -> 1 read a[x=]\n1 -> 2 read b\n2 -> 2 read b\n"),
+    ("a@x(b[x=].(a+b)*)",
+     "states 3\ninitial 0\nfinal 2\n0 -> 1 bind a@x_1\n1 -> 2 subexpr b[x_1=].(a+b)*\n"),
+    ("(a@x((b@y(a[y!=]))*.a[x=]))*",
+     "states 2\ninitial 0\nfinal 0 1\n0 -> 1 subexpr a@x_1(b@y_2(a[y_2!=])*.a[x_1=])\n"
+     "1 -> 1 subexpr a@x_1(b@y_2(a[y_2!=])*.a[x_1=])\n"),
+], ids=["f0", "eshape", "fshape"])
+def test_parse_dump_automaton_golden(text, dump):
+    # one view of each kind: F-level 0, E-shaped and F-shaped
+    assert run(["parse", text, "--dump-automaton"]) == (0, dump, "")
+
+
 def test_classify_output_format():
     code, out, _ = run(["classify", "(a1@x1(b1[x1=]))*"])
     assert code == 0
@@ -46,6 +59,9 @@ def test_classify_output_format():
     assert run(["classify", "a"])[1].startswith("F-level: 0  E-level: 1")
     query = "a@x_po(a@x_ne((b.(pn[x_po=].pa[x_1=|x_2=]+pn[x_ne=].pa[x_1!=&x_2!=]).e)*))"
     assert run(["classify", query])[1].startswith("F-level: 1  E-level: 1")
+    # sizes depend on node kinds and levels only, which renaming keeps
+    renamed = run(["parse", "a@x(a@x(b[x=]))", "--rename"])[1].strip()
+    assert run(["classify", "a@x(a@x(b[x=]))"]) == run(["classify", renamed])
 
 
 def test_member_true_false_and_compatibility():

@@ -14,7 +14,7 @@ import rewb.expr as E
 from rewb import alpha_rename, classify, free_vars, indistinguishable_sampled, member, to_unf
 from rewb.automata import automaton_size
 from rewb.errors import UndefinedVariableError, ValidationError
-from rewb.gadgets import eval_expr
+from rewb.gadgets import eval_expr, parse_nnf, sat_reduction
 from rewb.randgen import random_cond, random_expr, random_valuation, random_word
 from rewb.syntax import parse_expr, print_expr
 from rewb.witness import r_expr
@@ -353,6 +353,25 @@ def test_a_pickle_loaded_under_another_hash_seed_is_the_parsed_node(tmp_path):
              f"pickle.dumps(rewb.parse_expr({text!r})))")
     run("2", f"import pickle, rewb; e = rewb.parse_expr({text!r}); "
              f"assert pickle.loads(open({str(dump)!r}, 'rb').read()) is e")
+
+
+def test_deep_conditions_intern_and_hash_in_constant_time():
+    # conditions are interned like nodes, so hashing never walks them
+    deep = E.Test("a", E.or_all([E.Eq("x")] * 5000))
+    assert deep is E.Test("a", E.or_all([E.Eq("x")] * 5000)) and deep.free == {"x"}
+    assert hash(deep.cond) == hash(E.or_all([E.Eq("x")] * 5000))
+    assert eval_expr(2000).free == {f"x_{j}" for j in range(1, 2001)}
+    atoms = [f"p{j}" for j in range(1, 2001)]
+    out = sat_reduction(parse_nnf("p1 & !p2000"), atoms)
+    assert out.expr.well_named and not out.expr.free
+
+
+def test_conditions_keep_their_repr_and_pickle_to_the_interned_value():
+    c = E.And(E.Eq("x"), E.Not(E.Neq("y")))
+    assert repr(c) == "And(left=Eq(var='x'), right=Not(body=Neq(var='y')))"
+    assert pickle.loads(pickle.dumps(c)) is c
+    with pytest.raises(AttributeError):
+        c.left = E.Eq("z")
 
 
 def _deep(op, n):
