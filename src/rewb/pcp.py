@@ -36,7 +36,7 @@ from .classical import complement_regex
 from .data import DataWord
 from .errors import ValidationError
 from .gadgets import concat_all, union_all
-from .witness import r_expr, u_word
+from .witness import _r_expr, u_word
 
 HASH = "hash"
 
@@ -188,7 +188,7 @@ def pcp_mutate(w: DataWord, kind: str, seed: int) -> DataWord:
 
 def pcp_delta(inst: PcpInstance, i: int, *, state_budget: int = 64,
               node_budget: int = 200_000) -> E.Rewb:
-    """The expression accepting exactly the non-encoding-shaped words."""
+    """The expression accepting exactly the non-encoding-shaped words, well-named as built."""
     if i < 1:
         raise ValidationError("level must be at least 1")
     reserved = _reserved_letters(inst, i)
@@ -199,7 +199,6 @@ def pcp_delta(inst: PcpInstance, i: int, *, state_budget: int = 64,
     sigma = inst.sigma
     dollars = inst.dollars()
     gamma = sigma + dollars + [HASH]
-    r = r_expr(i)
     hash_atom = E.Atom(HASH)
     gamma_star = E.Star(union_all([E.Atom(l) for l in gamma]))
     sigma_star = E.Star(union_all([E.Atom(l) for l in sigma]))
@@ -213,67 +212,73 @@ def pcp_delta(inst: PcpInstance, i: int, *, state_budget: int = 64,
 
     arms = []
 
+    def arm(build):
+        """Add the arm ``build(x, y, r)``: binder names x and y and a copy of
+        the witness r, all of this arm's own."""
+        tag = f"_{len(arms) + 1}"
+        arms.append(build(f"x{tag}", f"y{tag}", _r_expr(i, tag)))
+
     # 1. wrong letter projection on a side
     for side, spot in ((0, "left"), (1, "right")):
         wrong = complement_regex(shape(side), gamma, state_budget, node_budget)
         if wrong is None:
             continue
         if spot == "left":
-            arms.append(concat_all([wrong, hash_atom, r, hash_atom, gamma_star]))
+            arm(lambda x, y, r: concat_all([wrong, hash_atom, r, hash_atom, gamma_star]))
         else:
-            arms.append(concat_all([gamma_star, hash_atom, r, hash_atom, wrong]))
+            arm(lambda x, y, r: concat_all([gamma_star, hash_atom, r, hash_atom, wrong]))
 
     # 2. a hash value repeats elsewhere (first the value before z, then after)
     for letter in gamma:
-        arms.append(concat_all([
+        arm(lambda x, y, r: concat_all([
             gamma_star,
-            E.Bind(letter, "x", E.Concat(gamma_star, E.Test(HASH, E.Eq("x")))),
+            E.Bind(letter, x, E.Concat(gamma_star, E.Test(HASH, E.Eq(x)))),
             r, gamma_star,
         ]))
-        arms.append(concat_all([
+        arm(lambda x, y, r: concat_all([
             gamma_star,
-            E.Bind(HASH, "x", concat_all([r, gamma_star, E.Test(letter, E.Eq("x")), gamma_star])),
+            E.Bind(HASH, x, concat_all([r, gamma_star, E.Test(letter, E.Eq(x)), gamma_star])),
         ]))
-        arms.append(concat_all([
+        arm(lambda x, y, r: concat_all([
             gamma_star,
-            E.Bind(letter, "x", concat_all([gamma_star, hash_atom, r, E.Test(HASH, E.Eq("x"))])),
+            E.Bind(letter, x, concat_all([gamma_star, hash_atom, r, E.Test(HASH, E.Eq(x))])),
             gamma_star,
         ]))
-        arms.append(concat_all([
+        arm(lambda x, y, r: concat_all([
             gamma_star, hash_atom, r,
-            E.Bind(HASH, "x", concat_all([gamma_star, E.Test(letter, E.Eq("x")), gamma_star])),
+            E.Bind(HASH, x, concat_all([gamma_star, E.Test(letter, E.Eq(x)), gamma_star])),
         ]))
 
     # 3. a value repeats before, or after, the hash-z-hash core
     for la in gamma:
         for lb in gamma:
-            repeat = E.Bind(la, "x", concat_all([gamma_star, E.Test(lb, E.Eq("x")), gamma_star]))
-            arms.append(concat_all([gamma_star, repeat, hash_atom, r, hash_atom, gamma_star]))
-            arms.append(concat_all([gamma_star, hash_atom, r, hash_atom, gamma_star, repeat]))
+            def repeat(x):
+                return E.Bind(la, x, concat_all([gamma_star, E.Test(lb, E.Eq(x)), gamma_star]))
+            arm(lambda x, y, r: concat_all([gamma_star, repeat(x), hash_atom, r, hash_atom, gamma_star]))
+            arm(lambda x, y, r: concat_all([gamma_star, hash_atom, r, hash_atom, gamma_star, repeat(x)]))
 
     # 4. dollar value mismatches across the two sides
     for d1 in dollars:
         for d2 in dollars:
-            arms.append(concat_all([
-                E.Bind(d1, "x", concat_all([gamma_star, hash_atom, r, hash_atom, E.Test(d2, E.Neq("x"))])),
+            arm(lambda x, y, r: concat_all([
+                E.Bind(d1, x, concat_all([gamma_star, hash_atom, r, hash_atom, E.Test(d2, E.Neq(x))])),
                 gamma_star,
             ]))
-            arms.append(concat_all([
+            arm(lambda x, y, r: concat_all([
                 gamma_star,
-                E.Bind(d1, "x", concat_all([sigma_star, hash_atom, r, hash_atom, gamma_star, E.Test(d2, E.Neq("x"))])),
+                E.Bind(d1, x, concat_all([sigma_star, hash_atom, r, hash_atom, gamma_star, E.Test(d2, E.Neq(x))])),
                 sigma_star,
             ]))
     for d1 in dollars:
         for d2 in dollars:
             for d3 in dollars:
                 for d4 in dollars:
-                    inner = E.Bind(d2, "y", concat_all([
-                        gamma_star, hash_atom, r, hash_atom, gamma_star,
-                        E.Test(d3, E.Eq("x")), sigma_star, E.Test(d4, E.Neq("y")),
-                    ]))
-                    arms.append(concat_all([
+                    arm(lambda x, y, r: concat_all([
                         gamma_star,
-                        E.Bind(d1, "x", E.Concat(sigma_star, inner)),
+                        E.Bind(d1, x, E.Concat(sigma_star, E.Bind(d2, y, concat_all([
+                            gamma_star, hash_atom, r, hash_atom, gamma_star,
+                            E.Test(d3, E.Eq(x)), sigma_star, E.Test(d4, E.Neq(y)),
+                        ])))),
                         gamma_star,
                     ]))
 
@@ -282,19 +287,19 @@ def pcp_delta(inst: PcpInstance, i: int, *, state_budget: int = 64,
         for d2 in dollars:
             for la in sigma:
                 for lb in sigma:
-                    arms.append(concat_all([
+                    arm(lambda x, y, r: concat_all([
                         E.Atom(d1),
-                        E.Bind(la, "x", concat_all([
+                        E.Bind(la, x, concat_all([
                             gamma_star, hash_atom, r, hash_atom,
-                            E.Atom(d2), E.Test(lb, E.Neq("x")),
+                            E.Atom(d2), E.Test(lb, E.Neq(x)),
                         ])),
                         gamma_star,
                     ]))
     for la in sigma:
         for lb in sigma:
-            arms.append(concat_all([
+            arm(lambda x, y, r: concat_all([
                 gamma_star,
-                E.Bind(la, "x", concat_all([hash_atom, r, hash_atom, gamma_star, E.Test(lb, E.Neq("x"))])),
+                E.Bind(la, x, concat_all([hash_atom, r, hash_atom, gamma_star, E.Test(lb, E.Neq(x))])),
             ]))
     for d1 in dollars:
         for d2 in dollars:
@@ -302,15 +307,14 @@ def pcp_delta(inst: PcpInstance, i: int, *, state_budget: int = 64,
                 for a2 in sigma:
                     for a3 in sigma:
                         for a4 in sigma:
-                            inner = E.Bind(a2, "y", concat_all([
-                                gamma_star, hash_atom, r, hash_atom, gamma_star,
-                                E.Test(a3, E.Eq("x")),
-                                E.Union(E.EPS, E.Atom(d2)),
-                                E.Test(a4, E.Neq("y")),
-                            ]))
-                            arms.append(concat_all([
+                            arm(lambda x, y, r: concat_all([
                                 gamma_star,
-                                E.Bind(a1, "x", E.Concat(E.Union(E.EPS, E.Atom(d1)), inner)),
+                                E.Bind(a1, x, E.Concat(E.Union(E.EPS, E.Atom(d1)), E.Bind(a2, y, concat_all([
+                                    gamma_star, hash_atom, r, hash_atom, gamma_star,
+                                    E.Test(a3, E.Eq(x)),
+                                    E.Union(E.EPS, E.Atom(d2)),
+                                    E.Test(a4, E.Neq(y)),
+                                ])))),
                                 gamma_star,
                             ]))
 
@@ -319,9 +323,9 @@ def pcp_delta(inst: PcpInstance, i: int, *, state_budget: int = 64,
         for g2 in gamma:
             if g1 == g2:
                 continue
-            arms.append(concat_all([
+            arm(lambda x, y, r: concat_all([
                 gamma_star,
-                E.Bind(g1, "x", concat_all([gamma_star, hash_atom, r, hash_atom, gamma_star, E.Test(g2, E.Eq("x"))])),
+                E.Bind(g1, x, concat_all([gamma_star, hash_atom, r, hash_atom, gamma_star, E.Test(g2, E.Eq(x))])),
                 gamma_star,
             ]))
 

@@ -17,6 +17,15 @@ unambiguous. ``+`` and ``.`` parse left-associated, ``|`` and ``&``
 right-associated; the printers mirror this, so printing followed by
 parsing reproduces the tree exactly.
 
+One regular expression scans the text into ``(kind, text, offset)``
+tokens. The parser is one operator-precedence loop over them, with a
+stack of operands, a stack of pending operators and a stack of open
+groups (``(``, ``a@x(``, ``a[`` and ``(`` inside a condition). The
+printers walk an explicit stack of pieces, each node kind's text given
+by one table. None of them recurses, so the depth of an expression is
+bounded by memory only. Offsets become (line, column) only when an
+error is reported.
+
 Words are whitespace-separated ``letter:value`` tokens. Graph files are
 line-based (``node``, ``edge src letter value dst``, ``source``, ``sink``,
 ``#`` comments); valuations are comma-separated ``var=value`` bindings.
@@ -26,6 +35,7 @@ All formats are UTF-8 with LF line endings.
 from __future__ import annotations
 
 import re
+from functools import partial
 
 from . import expr as E
 from .data import DataGraph, DataWord
@@ -33,259 +43,183 @@ from .errors import SourceError
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _VALUE_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_TOKEN_RE = re.compile(rf"\s+|({_IDENT_RE.pattern})|(!=|[+.*@()\[\]|&~=])|(.)", re.S)
 
-_SYMBOLS = ("!=", "+", ".", "*", "@", "(", ")", "[", "]", "|", "&", "~", "=")
+
+def _where(text, offset):
+    """(line, column) of ``offset`` in ``text``, both counted from 1."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+def _is_name(word):
+    """Can ``word`` name a letter or a variable? ``eps`` is reserved."""
+    return bool(_IDENT_RE.fullmatch(word)) and word != "eps"
 
 
 def _tokenize(text):
+    """The tokens of ``text`` as (kind, text, offset), then an ``eof`` token.
+
+    The kind of a symbol is the symbol itself; words are ``eps`` or ``ident``.
+    """
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group()
-            kind = "eps" if word == "eps" else "ident"
-            tokens.append(_Token(kind, word, line, col))
-            col += len(word)
-            i = m.end()
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(_Token(sym, sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise SourceError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+    for m in _TOKEN_RE.finditer(text):
+        word, symbol, other = m.groups()
+        if word:
+            tokens.append(("eps" if word == "eps" else "ident", word, m.start()))
+        elif symbol:
+            tokens.append((symbol, symbol, m.start()))
+        elif other:
+            raise SourceError(f"unexpected character {other!r}", *_where(text, m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _expected(text, want, token):
+    kind, word, offset = token
+    found = "end of input" if kind == "eof" else repr(word)
+    return SourceError(f"expected {want}, found {found}", *_where(text, offset))
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind, what=None):
-        tok = self.peek()
-        if tok.kind != kind:
-            want = what or f"'{kind}'"
-            got = repr(tok.text) if tok.kind != "eof" else "end of input"
-            raise SourceError(f"expected {want}, found {got}", tok.line, tok.col)
-        return self.next()
-
-    def at(self, kind):
-        return self.peek().kind == kind
-
-    # expression grammar
-
-    def expr(self):
-        out = self.seq()
-        while self.at("+"):
-            self.next()
-            out = E.Union(out, self.seq())
-        return out
-
-    def seq(self):
-        out = self.unit()
-        while self.at("."):
-            self.next()
-            out = E.Concat(out, self.unit())
-        return out
-
-    def unit(self):
-        out = self.atom()
-        while self.at("*"):
-            self.next()
-            out = E.Star(out)
-        return out
-
-    def atom(self):
-        tok = self.peek()
-        if tok.kind == "eps":
-            self.next()
-            return E.EPS
-        if tok.kind == "(":
-            self.next()
-            out = self.expr()
-            self.expect(")")
-            return out
-        if tok.kind != "ident":
-            got = repr(tok.text) if tok.kind != "eof" else "end of input"
-            raise SourceError(f"expected an expression, found {got}", tok.line, tok.col)
-        letter = self.next().text
-        if self.at("["):
-            self.next()
-            cond = self.cond()
-            self.expect("]")
-            return E.Test(letter, cond)
-        if self.at("@"):
-            self.next()
-            var = self.expect("ident", "a variable name").text
-            self.expect("(")
-            body = self.expr()
-            self.expect(")")
-            return E.Bind(letter, var, body)
-        return E.Atom(letter)
-
-    # condition grammar (right-associated folds)
-
-    def cond(self):
-        first = self.conj()
-        if self.at("|"):
-            self.next()
-            return E.Or(first, self.cond())
-        return first
-
-    def conj(self):
-        first = self.neg()
-        if self.at("&"):
-            self.next()
-            return E.And(first, self.conj())
-        return first
-
-    def neg(self):
-        tok = self.peek()
-        if tok.kind == "~":
-            self.next()
-            return E.Not(self.neg())
-        if tok.kind == "(":
-            self.next()
-            out = self.cond()
-            self.expect(")")
-            return out
-        if tok.kind != "ident":
-            got = repr(tok.text) if tok.kind != "eof" else "end of input"
-            raise SourceError(f"expected a condition, found {got}", tok.line, tok.col)
-        var = self.next().text
-        if self.at("="):
-            self.next()
-            return E.Eq(var)
-        self.expect("!=", "'=' or '!='")
-        return E.Neq(var)
+# The infix operators of each context, each with the operators that it
+# folds first when it meets them on top of the operator stack: '+' and '.'
+# fold to the left, '|' and '&' to the right.
+_EXPR_OPS = {"+": ("+", "."), ".": (".",)}
+_COND_OPS = {"|": ("&",), "&": ()}
+_MAKE = {"+": E.Union, ".": E.Concat, "|": E.Or, "&": E.And}
 
 
 def parse_expr(text: str) -> E.Rewb:
-    parser = _Parser(text)
-    out = parser.expr()
-    parser.expect("eof", "end of input")
-    return out
+    tokens = _tokenize(text)
+    operands = []
+    ops = [None]  # infix operators and '~' awaiting operands; None opens a group
+    groups = [("eof", None, False)]  # open groups: (closing token, wrap, holds a condition)
+    closer, wrap, in_cond = groups[-1]
+    infix = _EXPR_OPS
+    i = 0
+    while True:
+        # An operand: a leaf, or a group to open, after which one is wanted again.
+        kind, word, _ = tokens[i]
+        i += 1
+        group = None
+        if kind == "(":
+            group = (")", None, in_cond)
+        elif in_cond:
+            if kind == "~":
+                ops.append("~")
+                continue
+            if kind != "ident":
+                raise _expected(text, "a condition", tokens[i - 1])
+            if tokens[i][0] == "=":
+                operands.append(E.Eq(word))
+            elif tokens[i][0] == "!=":
+                operands.append(E.Neq(word))
+            else:
+                raise _expected(text, "'=' or '!='", tokens[i])
+            i += 1
+        elif kind == "eps":
+            operands.append(E.EPS)
+        elif kind != "ident":
+            raise _expected(text, "an expression", tokens[i - 1])
+        elif tokens[i][0] == "[":
+            group = ("]", partial(E.Test, word), True)
+            i += 1
+        elif tokens[i][0] == "@":
+            var = tokens[i + 1]
+            if var[0] != "ident":
+                raise _expected(text, "a variable name", var)
+            if tokens[i + 2][0] != "(":
+                raise _expected(text, "'('", tokens[i + 2])
+            group = (")", partial(E.Bind, word, var[1]), False)
+            i += 3
+        else:
+            operands.append(E.Atom(word))
+        if group:
+            groups.append(group)
+            ops.append(None)
+            closer, wrap, in_cond = group
+            infix = _COND_OPS if in_cond else _EXPR_OPS
+            continue
+        # After an operand: postfix '*', and groups that close, up to an infix operator.
+        while True:
+            while ops[-1] == "~":
+                ops.pop()
+                operands[-1] = E.Not(operands[-1])
+            kind = tokens[i][0]
+            i += 1
+            if kind == "*" and not in_cond:
+                operands[-1] = E.Star(operands[-1])
+                continue
+            folds = infix.get(kind)
+            if folds is None and kind != closer:
+                want = "end of input" if closer == "eof" else f"'{closer}'"
+                raise _expected(text, want, tokens[i - 1])
+            while ops[-1] is not None and (folds is None or ops[-1] in folds):
+                right = operands.pop()
+                operands[-1] = _MAKE[ops.pop()](operands[-1], right)
+            if folds is not None:
+                ops.append(kind)
+                break
+            ops.pop()
+            groups.pop()
+            if wrap is not None:
+                operands[-1] = wrap(operands[-1])
+            if not groups:
+                return operands[0]
+            closer, wrap, in_cond = groups[-1]
+            infix = _COND_OPS if in_cond else _EXPR_OPS
 
 
-# Precedence ranks used by the printers: union 0, concat 1, star 2, atom 3.
+# Each kind's text: a leaf's string, or pieces, where a string stands for
+# itself and (child, kinds) for the child's text, in parentheses when the
+# child is one of ``kinds``.
+_UNION = (E.Union,)
+_UNION_CONCAT = (E.Union, E.Concat)
+_OR = (E.Or,)
+_OR_AND = (E.Or, E.And)
+_PIECES = {
+    E.Eps: lambda e: "eps",
+    E.Atom: lambda e: e.letter,
+    E.Test: lambda e: (f"{e.letter}[", (e.cond, ()), "]"),
+    E.Bind: lambda e: (f"{e.letter}@{e.var}(", (e.body, ()), ")"),
+    E.Star: lambda e: ((e.body, _UNION_CONCAT), "*"),
+    E.Concat: lambda e: ((e.left, _UNION), ".", (e.right, _UNION_CONCAT)),
+    E.Union: lambda e: ((e.left, ()), "+", (e.right, _UNION)),
+    E.Eq: lambda c: f"{c.var}=",
+    E.Neq: lambda c: f"{c.var}!=",
+    E.Not: lambda c: ("~", (c.body, _OR_AND)),
+    E.And: lambda c: ((c.left, _OR_AND), "&", (c.right, _OR)),
+    E.Or: lambda c: ((c.left, _OR), "|", (c.right, ())),
+}
 
 
-def _prec(e):
-    if isinstance(e, E.Union):
-        return 0
-    if isinstance(e, E.Concat):
-        return 1
-    if isinstance(e, E.Star):
-        return 2
-    return 3
+def _print(root):
+    """The text of a node or condition, written from its last piece to its first."""
+    out = []
+    stack = [(root, ())]
+    while stack:
+        piece = stack.pop()
+        if type(piece) is str:
+            out.append(piece)
+            continue
+        node, kinds = piece
+        pieces = _PIECES[type(node)](node)
+        if type(pieces) is str:
+            out.append(pieces)
+            continue
+        if type(node) in kinds:
+            out.append(")")
+            stack.append("(")
+        stack += pieces
+    return "".join(reversed(out))
 
 
 def print_expr(e: E.Rewb) -> str:
     """Canonical text with minimal parentheses; parse_expr inverts it."""
-    return _render(e)
-
-
-def _render(e):
-    if isinstance(e, E.Eps):
-        return "eps"
-    if isinstance(e, E.Atom):
-        return e.letter
-    if isinstance(e, E.Test):
-        return f"{e.letter}[{print_cond(e.cond)}]"
-    if isinstance(e, E.Bind):
-        return f"{e.letter}@{e.var}({_render(e.body)})"
-    if isinstance(e, E.Star):
-        body = _render(e.body)
-        if _prec(e.body) < 2:
-            body = f"({body})"
-        return body + "*"
-    if isinstance(e, E.Concat):
-        left = _render(e.left)
-        if _prec(e.left) < 1:
-            left = f"({left})"
-        right = _render(e.right)
-        if _prec(e.right) < 2:  # right-nested concat or union needs parens
-            right = f"({right})"
-        return f"{left}.{right}"
-    left = _render(e.left)
-    right = _render(e.right)
-    if isinstance(e.right, E.Union):
-        right = f"({right})"
-    return f"{left}+{right}"
+    return _print(e)
 
 
 def print_cond(c: E.Condition) -> str:
-    return _rcond(c)
-
-
-def _cprec(c):
-    if isinstance(c, E.Or):
-        return 0
-    if isinstance(c, E.And):
-        return 1
-    if isinstance(c, E.Not):
-        return 2
-    return 3
-
-
-def _rcond(c):
-    if isinstance(c, E.Eq):
-        return f"{c.var}="
-    if isinstance(c, E.Neq):
-        return f"{c.var}!="
-    if isinstance(c, E.Not):
-        body = _rcond(c.body)
-        if _cprec(c.body) < 2:
-            body = f"({body})"
-        return f"~{body}"
-    if isinstance(c, E.And):
-        left = _rcond(c.left)
-        if _cprec(c.left) < 2:  # left-nested And or Or needs parens
-            left = f"({left})"
-        right = _rcond(c.right)
-        if _cprec(c.right) < 1:
-            right = f"({right})"
-        return f"{left}&{right}"
-    left = _rcond(c.left)
-    if _cprec(c.left) < 1:
-        left = f"({left})"
-    right = _rcond(c.right)
-    return f"{left}|{right}"
+    return _print(c)
 
 
 # ---------------------------------------------------------------------------
@@ -294,26 +228,16 @@ def _rcond(c):
 
 def parse_word(text: str) -> DataWord:
     pairs = []
-    line = 1
-    col = 1
-    for raw in re.split(r"(\s+)", text):
-        if not raw or raw.isspace():
-            for ch in raw:
-                if ch == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-            continue
-        if ":" not in raw:
-            raise SourceError(f"expected letter:value, found {raw!r}", line, col)
-        letter, _, value = raw.partition(":")
-        if not _IDENT_RE.fullmatch(letter) or letter == "eps":
-            raise SourceError(f"invalid letter {letter!r}", line, col)
+    for m in re.finditer(r"\S+", text):
+        raw = m.group()
+        letter, colon, value = raw.partition(":")
+        if not colon:
+            raise SourceError(f"expected letter:value, found {raw!r}", *_where(text, m.start()))
+        if not _is_name(letter):
+            raise SourceError(f"invalid letter {letter!r}", *_where(text, m.start()))
         if not _VALUE_RE.match(value):
-            raise SourceError(f"invalid data value {value!r}", line, col)
+            raise SourceError(f"invalid data value {value!r}", *_where(text, m.start()))
         pairs.append((letter, value))
-        col += len(raw)
     return tuple(pairs)
 
 
@@ -343,7 +267,9 @@ def parse_graph(text: str) -> DataGraph:
             if len(fields) != 5:
                 raise SourceError("edge takes src letter value dst", lineno, 1)
             src = _graph_token(fields[1], "node id", lineno)
-            letter = _graph_token(fields[2], "letter", lineno)
+            letter = fields[2]
+            if not _is_name(letter):
+                raise SourceError(f"invalid letter {letter!r}", lineno, 1)
             value = fields[3]
             if not _VALUE_RE.match(value):
                 raise SourceError(f"invalid data value {value!r}", lineno, 1)
@@ -398,7 +324,7 @@ def parse_valuation(text: str) -> dict:
         var, _, value = binding.partition("=")
         var = var.strip()
         value = value.strip()
-        if not _IDENT_RE.fullmatch(var) or var == "eps":
+        if not _is_name(var):
             raise SourceError(f"invalid variable {var!r}", 1, col)
         if not _VALUE_RE.match(value):
             raise SourceError(f"invalid data value {value!r}", 1, col)

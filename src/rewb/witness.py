@@ -25,13 +25,18 @@ from .evaluate import member
 
 def r_expr(i: int) -> E.Rewb:
     """The canonical F-level-i witness expression."""
+    return _r_expr(i, "")
+
+
+def _r_expr(i, tag):
+    """``r_expr(i)`` with ``tag`` appended to each variable name."""
     if i < 1:
         raise ValidationError("witness expressions start at level 1")
-    body = E.Test("b1", E.Eq("x1"))
-    out = E.Star(E.Bind("a1", "x1", body))
+    body = E.Test("b1", E.Eq(f"x1{tag}"))
+    out = E.Star(E.Bind("a1", f"x1{tag}", body))
     for level in range(2, i + 1):
-        closing = E.Test(f"b{level}", E.Eq(f"x{level}"))
-        out = E.Star(E.Bind(f"a{level}", f"x{level}", E.Concat(out, closing)))
+        var = f"x{level}{tag}"
+        out = E.Star(E.Bind(f"a{level}", var, E.Concat(out, E.Test(f"b{level}", E.Eq(var)))))
     return out
 
 

@@ -25,6 +25,15 @@ def test_parse_reports_errors_on_stderr_with_exit_1():
     assert code == 1 and out == "" and "1:3" in err
 
 
+def test_sat_gadget_on_2000_atoms_prints_an_expression_that_parses_back(tmp_path):
+    atoms = ",".join(f"p{j}" for j in range(1, 2001))  # 2,000 nested binders
+    path = tmp_path / "sat.expr"
+    code, out, err = run(["gadget", "sat", "--formula", "p1 & !p2000", "--atoms", atoms,
+                          "--out-graph", str(tmp_path / "sat.graph"), "--out-expr", str(path)])
+    assert (code, err) == (0, "")
+    assert run(["parse", f"@{path}"]) == (0, path.read_text(encoding="utf-8"), "")
+
+
 def test_parse_dump_automaton_is_deterministic():
     first = run(["parse", "(a@x(b[x=]))*", "--dump-automaton"])
     second = run(["parse", "(a@x(b[x=]))*", "--dump-automaton"])

@@ -30,7 +30,9 @@ from rewb.gadgets import (
     sat_reduction,
     wqsat_reduction,
 )
+from rewb.pcp import PcpInstance, pcp_delta
 from rewb.syntax import parse_expr, print_graph
+from rewb.witness import r_expr
 
 from oracles import nnf_formulas
 
@@ -239,6 +241,26 @@ def test_wqsat_level_bookkeeping():
     )
     out = wqsat_reduction(inst)
     assert classify(out.expr).f_level == 1 + 2  # one plus the universal weights
+
+
+_ATOMS = ["pr1", "pr2", "pr3", "pr4"]
+_GRAPH = formula_graph(FIGURE, _ATOMS)
+_WQSAT = WqsatInstance(FIGURE, (("pr1", "pr2"), ("pr3",), ("pr4",)), (1, 1, 1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: r_expr(3),
+    lambda: eval_expr(3),
+    lambda: sat_reduction(FIGURE, _ATOMS).expr,
+    lambda: exists_compose(2, _ATOMS, _GRAPH, eval_expr(2)).expr,
+    lambda: forall_compose(2, _ATOMS, _GRAPH, eval_expr(2)).expr,
+    lambda: wqsat_reduction(_WQSAT).expr,
+    lambda: pcp_delta(PcpInstance((("a", "ab"), ("bb", "b"))), 1),
+    lambda: pcp_delta(PcpInstance((("a", "ab"), ("bb", "b"))), 2),
+], ids=["r_expr", "eval_expr", "sat", "exists", "forall", "wqsat", "pcp_delta_1", "pcp_delta_2"])
+def test_generators_are_well_named(build):
+    # so compiling their output renames nothing
+    assert build().well_named
 
 
 def test_wqsat_instance_validation():

@@ -13,6 +13,7 @@ from rewb.syntax import (
     parse_graph,
     parse_valuation,
     parse_word,
+    print_cond,
     print_expr,
     print_graph,
     print_valuation,
@@ -49,6 +50,70 @@ def test_parse_errors_carry_positions():
         parse_expr("a b")  # juxtaposition is not concatenation
     with pytest.raises(SourceError):
         parse_expr("eps@x(a)")  # 'eps' is reserved
+
+
+# (text, line, column, message), one or more per error branch of the
+# expression and condition grammars.
+MALFORMED = [
+    ("", 1, 1, "expected an expression, found end of input"),
+    ("a[", 1, 3, "expected a condition, found end of input"),
+    ("a b", 1, 3, "expected end of input, found 'b'"),
+    ("eps@x(a)", 1, 4, "expected end of input, found '@'"),
+    ("a@(b)", 1, 3, "expected a variable name, found '('"),
+    ("a@eps(b)", 1, 3, "expected a variable name, found 'eps'"),
+    ("a@x b", 1, 5, "expected '(', found 'b'"),
+    ("a@x(b", 1, 6, "expected ')', found end of input"),
+    ("(a+b", 1, 5, "expected ')', found end of input"),
+    ("(a\n  b)", 2, 3, "expected ')', found 'b'"),
+    ("a[x]", 1, 4, "expected '=' or '!=', found ']'"),
+    ("a[x=", 1, 5, "expected ']', found end of input"),
+    ("a[x= y=]", 1, 6, "expected ']', found 'y'"),
+    ("a[(x=|y!=]", 1, 10, "expected ')', found ']'"),
+    ("a[~]", 1, 4, "expected a condition, found ']'"),
+    ("a[eps=]", 1, 3, "expected a condition, found 'eps'"),
+    ("a[x=*]", 1, 5, "expected ']', found '*'"),
+    ("a.+b", 1, 3, "expected an expression, found '+'"),
+    ("a*&b", 1, 3, "expected end of input, found '&'"),
+    ("a\n\t#", 2, 2, "unexpected character '#'"),
+    ("a.b!c", 1, 4, "unexpected character '!'"),
+    ("a@x(b[x!=])\n+ )", 2, 3, "expected an expression, found ')'"),
+    ("a[x=&]", 1, 6, "expected a condition, found ']'"),
+    ("a[x=]]", 1, 6, "expected end of input, found ']'"),
+    ("a@x(b))", 1, 7, "expected end of input, found ')'"),
+    ("a1[x=|(y!=&z=)", 1, 15, "expected ']', found end of input"),
+    ("(a)\n.\u00e9", 2, 2, "unexpected character '\u00e9'"),
+]
+
+
+@pytest.mark.parametrize("text, line, column, message", MALFORMED)
+def test_parse_error_golden(text, line, column, message):
+    with pytest.raises(SourceError) as err:
+        parse_expr(text)
+    assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
+
+DEPTH = 10_000
+
+
+@pytest.mark.parametrize("text", [
+    "a@x(" * DEPTH + "b[x=]" + ")" * DEPTH,  # nested binders
+    "a.(" * DEPTH + "b.c" + ")" * DEPTH,  # nested parentheses
+    "a[" + "~" * DEPTH + "x=]",
+    ".".join(["a"] * DEPTH),
+    "+".join(["a"] * DEPTH),
+], ids=["binders", "parentheses", "negations", "concat", "union"])
+def test_deep_inputs_parse_and_print_back(text):
+    # at the default recursion limit: nothing in the text layer recurses
+    e = parse_expr(text)
+    assert print_expr(e) == text
+    if "~" in text:
+        assert print_cond(e.cond) == "~" * DEPTH + "x="
+
+
+def test_deep_condition_prints_and_parses_back():
+    c = E.or_all([E.Eq("x")] * 5000)
+    assert print_cond(c) == "|".join(["x="] * 5000)
+    assert parse_expr(print_expr(E.Test("a", c))) is E.Test("a", c)
 
 
 def test_print_examples():
@@ -90,6 +155,8 @@ def test_graph_format():
         parse_graph("source u\nsource u\nnode u")
     with pytest.raises(SourceError):
         parse_graph("edge u a v")
+    with pytest.raises(SourceError, match="invalid letter 'eps'"):
+        parse_graph("edge u eps 1 v")  # reserved, as in words
 
 
 @pytest.mark.parametrize("kind", ["source", "sink"])
