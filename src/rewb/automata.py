@@ -25,7 +25,8 @@ hierarchical view.
   registers have one slot per free variable and one per binder nesting
   depth, which the binders at that depth share. For the configuration
   searches it compiles each guard once to a generated function of the
-  register tuple, so a search runs without re-interpreting guards, and it
+  register tuple, or for the layered search of a set of numbered tuples,
+  so a search runs without re-interpreting guards, and it
   empties a binder's register at the moves where it dies (no later guard
   reads it before a store), so runs that differ only in dead values meet.
 
@@ -90,8 +91,9 @@ class RegisterNfa(PositionAutomaton):
     variable to its slot. The free variables ``free`` take the first slots
     in sorted order, then each binder nesting depth takes one slot, shared
     by the binders at that depth (see ``register_nfa``). ``search_index``
-    is ``index`` in the form the configuration searches run, built on first
-    use; see there for where registers are cleared.
+    and ``mask_index`` are ``index`` in the forms the two configuration
+    searches run, built on first use; see there for where registers are
+    cleared.
     """
 
     def __init__(self, labels, finals, arcs, free, slot):
@@ -167,11 +169,20 @@ class RegisterNfa(PositionAutomaton):
         of ``liveness``'s ``clear`` emptied, in one step. So configurations
         that differ only in dead registers become one.
         """
+        return self._compiled_index(E.compile_cond)
+
+    @cached_property
+    def mask_index(self):
+        """``search_index`` with each guard compiled by ``compile_mask`` to a
+        set function over numbered register tuples, for the layered search."""
+        return self._compiled_index(E.compile_mask)
+
+    def _compiled_index(self, compile_guard):
         width = self.width
         _live, clear = self.liveness
         made = [None]
         for dst, (_letter, guard, store) in enumerate(self.labels, start=1):
-            test = guard and E.compile_cond(guard, self.slot)
+            test = guard and compile_guard(guard, self.slot)
             stored = self.slot.get(store)
             plan = [width + 1 if clear[dst] >> i & 1 else width if i == stored else i for i in range(width)]
             if store is None and not clear[dst]:

@@ -16,6 +16,7 @@ from . import randgen
 from .automata import automaton_size, dump_automaton
 from .errors import BudgetError, RewbError, ValidationError
 from .evaluate import (
+    connected,
     eval_any,
     eval_flat,
     eval_oracle,
@@ -127,6 +128,9 @@ def _cmd_eval(args):
         else:
             for src, letter, value, dst in path:
                 print(f"{src} {letter} {value} {dst}")
+        return 0
+    if args.source is not None and args.engine == "flat" and not args.any:
+        print("true" if connected(e, g, val, args.source, args.target) else "false")
         return 0
     if args.any:
         pairs = eval_any(e, g)
@@ -268,7 +272,7 @@ def _cmd_selftest(args):
         return 0
     for failure in report.failures:
         print(f"engine disagreement in case {failure['case']}:", file=sys.stderr)
-        for key in ("expr", "valuation", "flat", "stratified", "oracle", "witness"):
+        for key in ("expr", "valuation", "flat", "stratified", "oracle", "pairs"):
             print(f"  {key}: {failure[key]}", file=sys.stderr)
         print("  graph:", file=sys.stderr)
         for line in failure["graph"].splitlines():

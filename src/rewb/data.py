@@ -48,23 +48,10 @@ class DataGraph:
             adj[edge[0]].append(edge)
         return adj
 
-    def in_nodes(self) -> dict:
-        """Reverse adjacency map node -> list of the sources of its in-edges,
-        one per edge; built on first use and shared like ``out_edges``."""
-        return self._reverse
-
-    @cached_property
-    def _reverse(self):
-        preds = {n: [] for n in self.nodes}
-        for src, _letter, _value, dst in self.edges:
-            preds[dst].append(src)
-        return preds
-
     def __getstate__(self):
-        """Pickle the fields only: the adjacency maps are rebuilt on demand."""
+        """Pickle the fields only: the adjacency map is rebuilt on demand."""
         state = dict(self.__dict__)
         state.pop("_adjacency", None)
-        state.pop("_reverse", None)
         return state
 
     def data_values(self) -> set:

@@ -7,27 +7,38 @@ other:
   state, register tuple) of the flattened register NFA, one search from
   each source node. Register values only ever come from the graph or the
   starting valuation, so the configuration space is finite and the
-  closure is sound and complete. This configuration search (``_search``)
-  runs depth-first, which reaches a target after fewer configurations on
-  the reduction gadgets; ``connected`` stops it at a target node, and the
-  stratified engine runs it on binding-free blocks. ``witness_path``
-  searches the same configurations goal-directed instead: A* ordered by
-  edges taken plus the graph distance to the target, keeping parent links
-  to read off a shortest path. A register tuple has one slot per free
+  closure is sound and complete. A register tuple has one slot per free
   variable and one per binder nesting depth, shared by the binders at that
-  depth. Each search numbers the register tuples it meets, so a
-  configuration is (node, state, tuple number) and a tuple is hashed only
-  when a move makes a new one. It tests each guard with one call of its
-  generated function, and a move that stores a value or lets a binder's
-  register die (no later guard reads it before a store) builds the next
-  tuple in one splice that stores the value and empties the dead
-  registers, so configurations that differ only in dead values are one.
-  The two searches keep their own move loops, and ``connected`` the
-  depth-first one: one move generator for both cost ``rpq`` 794 -> 666
-  and ``decide`` 626 -> 561 ops/s over 4 alternating benchmark pairs, and
-  A* for ``connected`` cost ``decide`` 590 -> 411. ``member`` and
-  ``eval_oracle`` share one interpreted step (``_step``) over dict
-  valuations that keep every binding, the reference for the compiled form.
+  depth. A move that stores a value or lets a binder's register die (no
+  later guard reads it before a store) builds the next tuple in one splice
+  that stores the value and empties the dead registers, so configurations
+  that differ only in dead values are one. Two kernels search these
+  configurations, and both number the register tuples they meet, so a
+  tuple is hashed only when a move makes a new one:
+
+  - ``_search``, depth-first over (node, state, tuple number), testing
+    each guard with one call of its generated test. It serves
+    ``eval_flat``, ``eval_any`` and the stratified engine's binding-free
+    blocks, whose searches meet few tuples per (node, state): on the 22
+    ``eval_flat`` calls of the ``rpq`` benchmark (seed 7, each call's best
+    of 15, summed, on a 2-CPU shared host) the layered kernel below took
+    35-36 ms against its 27-29.
+  - ``_layered``, breadth-first in strict layers over (node, state)
+    entries, each carrying the set of tuples that reach it as an int
+    bitset, in the bit-parallel manner of Baeza-Yates and Gonnet applied
+    to the register dimension. A guard is one call of a generated set
+    function on all of an entry's new tuples. It serves ``connected``,
+    which stops once the target is reached in a final state, and
+    ``witness_path``, which reads a shortest path back from the parent
+    records the layers leave. On the reduction gadgets a (node, state) is
+    met with up to hundreds of tuples: on the 28 SAT/WQSAT gadgets of the
+    ``decide`` benchmark, timed alike, ``connected`` took 15-17 ms against
+    ``_search``'s 35-38, and ``witness_path`` 9-10 ms against the A*
+    search it replaced, 15-17.
+
+  ``member`` and ``eval_oracle`` share one interpreted step (``_step``)
+  over dict valuations that keep every binding, the reference for the
+  compiled forms.
 
 * ``eval_stratified``: the per-level scheme. It computes the row of the
   query at each source node: the nodes that a path from it in the
@@ -268,7 +279,7 @@ def connected(e: E.Rewb, g: DataGraph, val, u, v) -> bool:
     val = dict(val or {})
     nfa = _checked_nfa(e, val)
     _check_nodes(g, u, v)
-    return v in _search(nfa, g.out_edges(), val, u, target=v)
+    return v in _layered(nfa, g.out_edges(), val, u, v)
 
 
 def eval_any(e: E.Rewb, g: DataGraph) -> set:
@@ -285,107 +296,116 @@ def witness_path(e: E.Rewb, g: DataGraph, val, u, v):
     """One shortest witness path from u to v, or None.
 
     The returned edge list's label sequence is accepted by ``e`` under
-    ``val``, and no shorter such path exists. The search is A* over the
-    configurations (node, state, register tuple number) that ``_search``
-    uses, dead registers emptied alike, ordered by f = g + h: g counts the
-    edges taken, and h is the fewest edges from the node to ``v`` in the
-    graph with labels ignored.
-    h never overestimates and drops by at most one per edge, so f never
-    decreases along a route and the first final configuration at ``v``
-    to be popped ends a shortest path. The queue is a list of buckets, one
-    per f, each a stack, so configurations of equal f are taken
-    depth-first. Configurations at nodes with no path to ``v`` are never
-    queued; a queued configuration that a shorter route reaches is queued
-    again with its new parent, and the entry left behind is skipped as
-    stale when popped.
+    ``val``, and no shorter such path exists: ``_layered`` reaches each
+    configuration first in the layer of its fewest edges, and the path is
+    read back from its parent records, from the first tuple that reached
+    ``v`` in a final state.
     """
     val = dict(val or {})
     nfa = _checked_nfa(e, val)
     _check_nodes(g, u, v)
-    dist = _distances_to(g, v)
-    if u not in dist:
+    parents = []
+    if v not in _layered(nfa, g.out_edges(), val, u, v, parents):
         return None
+    records = {}
+    for record in parents:
+        records.setdefault(record[0], []).append(record[1:])
+    path = []
+    key, bits = parents[-1][:2] if parents else ((u, 0), 1)
+    r = (bits & -bits).bit_length() - 1
+    while key != (u, 0):  # no move enters state 0, so (u, 0) holds only tuple 0
+        for bits, parent, edge, origin in records[key]:
+            if bits >> r & 1:
+                break
+        path.append(edge)
+        key = parent
+        if origin is not None:
+            r = origin[r]
+    path.reverse()
+    return path
+
+
+def _layered(nfa, adj, val, start, target=None, parents=None):
+    """Breadth-first search over (node, state) entries, each with the set of
+    register tuples that reach it as an int bitset over the tuple numbers.
+
+    Starts like ``_search`` and returns the same set of nodes reached in a
+    final state, stopping with ``target`` as soon as it is in that set. The
+    search runs in strict layers: a layer merges every tuple that reaches
+    an entry in it before the next layer expands that entry, so each
+    (node, state, tuple) is reached first after its fewest edges. A move's
+    guard is one call of its ``mask_index`` set function on all new tuples
+    of the entry (``buckets`` holds, per slot, the bitset of the tuples of
+    each value); a splice maps the tuples it keeps one by one through the
+    numbering. With ``parents``, a list, every entry that gains tuples
+    appends a record (entry, new tuples, parent entry, edge, origin), where
+    ``origin`` maps each new tuple number to the one it was spliced from,
+    or is None when the move keeps the tuples; when the search stops at
+    ``target`` the last record holds the final entry.
+    """
     finals = nfa.finals
-    index = nfa.search_index
+    index = nfa.mask_index
     unset = E.UNSET
-    adj = g.out_edges()
     regs = _registers(nfa, val)
     tuples = [regs]
     number = {regs: 0}
-    key = (u, 0, 0)
-    best = {key: (0, None, None)}
-    f = dist[u]
-    buckets = [[] for _ in range(f)]
-    buckets.append([key])
-    while f < len(buckets):
-        bucket = buckets[f]
-        while bucket:
-            key = bucket.pop()
-            node, q, r = key
-            c = best[key][0]
-            if c + dist[node] != f:
-                continue
-            if node == v and q in finals:
-                path = []
-                _c, key, edge = best[key]
-                while edge is not None:
-                    path.append(edge)
-                    _c, key, edge = best[key]
-                path.reverse()
-                return path
-            c += 1
-            regs = tuples[r]
+    buckets = [{value: 1} for value in regs]
+    hits = set()
+    if 0 in finals:
+        hits.add(start)
+        if start == target:
+            return hits
+    seen = {(start, 0): 1}
+    layer = dict(seen)
+    while layer:
+        nxt = {}
+        for key, bits in layer.items():
+            node, q = key
             out = index[q]
             for edge in adj[node]:
                 entries = out.get(edge[1])
                 if entries is None:
                     continue
                 d, dst = edge[2], edge[3]
-                h = dist.get(dst)
-                if h is None:
-                    continue
-                for q2, test, splice in entries:
-                    if test is not None and not test(d, regs):
+                for q2, mask, splice in entries:
+                    kept = bits if mask is None else mask(d, buckets, bits)
+                    if not kept:
                         continue
-                    if splice is None:
-                        k2 = (dst, q2, r)
-                    else:
-                        stored = splice(regs + (d, unset))
-                        r2 = number.get(stored)
-                        if r2 is None:
-                            r2 = number[stored] = len(tuples)
-                            tuples.append(stored)
-                        k2 = (dst, q2, r2)
-                    old = best.get(k2)
-                    if old is not None and old[0] <= c:
+                    origin = None
+                    if splice is not None:
+                        if parents is not None:
+                            origin = {}
+                        moved = 0
+                        while kept:
+                            low = kept & -kept
+                            kept ^= low
+                            r = low.bit_length() - 1
+                            stored = splice(tuples[r] + (d, unset))
+                            r2 = number.get(stored)
+                            if r2 is None:
+                                r2 = number[stored] = len(tuples)
+                                tuples.append(stored)
+                                for bucket, value in zip(buckets, stored):
+                                    bucket[value] = bucket.get(value, 0) | 1 << r2
+                            moved |= 1 << r2
+                            if origin is not None:
+                                origin.setdefault(r2, r)
+                        kept = moved
+                    k2 = (dst, q2)
+                    old = seen.get(k2, 0)
+                    new = kept & ~old
+                    if not new:
                         continue
-                    best[k2] = (c, key, edge)
-                    f2 = c + h
-                    while len(buckets) <= f2:
-                        buckets.append([])
-                    buckets[f2].append(k2)
-        f += 1
-    return None
-
-
-def _distances_to(g, v):
-    """Fewest edges from each node to ``v``, labels ignored, by a
-    breadth-first search over the graph's shared reverse adjacency; a node
-    with no path to ``v`` is absent."""
-    preds = g.in_nodes()
-    dist = {v: 0}
-    frontier = [v]
-    step = 0
-    while frontier:
-        step += 1
-        nxt = []
-        for node in frontier:
-            for src in preds[node]:
-                if src not in dist:
-                    dist[src] = step
-                    nxt.append(src)
-        frontier = nxt
-    return dist
+                    seen[k2] = old | new
+                    nxt[k2] = nxt.get(k2, 0) | new
+                    if parents is not None:
+                        parents.append((k2, new, key, edge, origin))
+                    if q2 in finals:
+                        hits.add(dst)
+                        if dst == target:
+                            return hits
+        layer = nxt
+    return hits
 
 
 # ---------------------------------------------------------------------------

@@ -83,8 +83,23 @@ class _Interned:
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__name__}({fields})"
+        """``Kind(field=value, ...)``, written from an explicit stack of
+        pieces, so a value of any depth takes no recursion."""
+        out = []
+        stack = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            stack.append(")")
+            names = item.__match_args__
+            for k in range(len(names) - 1, -1, -1):
+                value = getattr(item, names[k])
+                stack.append(value if isinstance(value, _Interned) else repr(value))
+                stack.append(f"{', ' if k else ''}{names[k]}=")
+            stack.append(f"{type(item).__name__}(")
+        return "".join(out)
 
 
 class Eq(_Interned):
@@ -179,11 +194,34 @@ def compile_cond(c: Condition, slot: dict):
     nested more than ``_NEST`` operators deep is cut into several
     generated functions, each calling the ones below it.
     """
-    roots = [c]  # grows as _emit cuts off deeper parts
+    return _compile(c, slot, _test_code)
+
+
+def compile_mask(c: Condition, slot: dict):
+    """``c`` as a set function ``mask(d, B, S)`` over numbered register tuples.
+
+    ``S`` is a set of tuple numbers as an int bitset, and ``B[s]`` maps each
+    value, UNSET included, to the bitset of the tuples holding it in slot
+    ``s``. The mask is the subset of ``S`` whose tuples pass ``compile_cond``'s
+    test against ``d``, and it raises UndefinedVariableError exactly when
+    that test raises on some tuple of ``S``. The short cuts carry over as
+    sets: the right side of an And sees only the tuples its left side kept,
+    that of an Or only the ones it dropped, so a leaf reads its slot on the
+    tuples the test reads it on. An Eq leaf is ``S & B[s][d]``.
+
+    The mask is one generated function of flat statements, a few per leaf,
+    made once per condition shape and cut at ``_NEST`` as ``compile_cond`` is.
+    """
+    return _compile(c, slot, _mask_code)
+
+
+def _compile(c, slot, code):
+    """The generated function of ``c``; ``code`` gives the body of each part."""
+    roots = [c]  # grows as the parts' code cuts off deeper parts
     parts = []
     for root in roots:
         slots, names, callees = [], [], []
-        body = _emit(root, 0, slot, slots, names, callees, roots)
+        body = code(root, (slot, slots, names, callees, roots))
         parts.append((body, slots, tuple(names), callees))
     made = [None] * len(parts)
     for i in range(len(parts) - 1, -1, -1):
@@ -193,35 +231,87 @@ def compile_cond(c: Condition, slot: dict):
     return made[0]
 
 
-def _emit(c, depth, slot, slots, names, callees, roots):
-    """Source of ``c`` in a generated guard, ``depth`` operators below its root.
+def _leaf(c, ctx):
+    """Number the leaf ``c`` in ``ctx``: record its slot and name, return its number."""
+    slot, slots, names, _callees, _roots = ctx
+    slots.append(slot[c.var])
+    names.append(c.var)
+    return len(slots) - 1
 
-    Appends the slot index and name of each leaf to ``slots`` and ``names``;
-    a part nested ``_NEST`` deep is appended to ``roots`` and its index in
-    ``roots`` to ``callees``.
-    """
-    if isinstance(c, (Eq, Neq)):
-        k = len(slots)
-        slots.append(slot[c.var])
-        names.append(c.var)
-        if isinstance(c, Eq):
-            return f"(r[s{k}] == d or r[s{k}] is U and _undefined(n, {k}))"
-        return f"(r[s{k}] != d and (r[s{k}] is not U or _undefined(n, {k})))"
-    if depth == _NEST:
-        callees.append(len(roots))
-        roots.append(c)
-        return f"g{len(callees) - 1}(d, r)"
-    if isinstance(c, Not):
-        return f"(not {_emit(c.body, depth + 1, slot, slots, names, callees, roots)})"
-    kind = type(c)
-    operands, stack = [], [c]
-    while stack:  # the maximal chain of this operator, left to right
+
+def _cut(c, ctx):
+    """Cut ``c`` off as a part of its own; return its callee number."""
+    _slot, _slots, _names, callees, roots = ctx
+    callees.append(len(roots))
+    roots.append(c)
+    return len(callees) - 1
+
+
+def _operands(c):
+    """The maximal chain of ``c``'s operator (And or Or), left to right."""
+    kind, operands, stack = type(c), [], [c]
+    while stack:
         node = stack.pop()
         if type(node) is kind:
             stack += (node.right, node.left)
         else:
-            operands.append(_emit(node, depth + 1, slot, slots, names, callees, roots))
-    return "(" + (" and " if kind is And else " or ").join(operands) + ")"
+            operands.append(node)
+    return operands
+
+
+def _test_code(c, ctx):
+    return f"    return lambda d, r: {_emit(c, 0, ctx)}"
+
+
+def _emit(c, depth, ctx):
+    """Source of ``c`` in a generated test, ``depth`` operators below its root."""
+    if isinstance(c, (Eq, Neq)):
+        k = _leaf(c, ctx)
+        if isinstance(c, Eq):
+            return f"(r[s{k}] == d or r[s{k}] is U and _undefined(n, {k}))"
+        return f"(r[s{k}] != d and (r[s{k}] is not U or _undefined(n, {k})))"
+    if depth == _NEST:
+        return f"g{_cut(c, ctx)}(d, r)"
+    if isinstance(c, Not):
+        return f"(not {_emit(c.body, depth + 1, ctx)})"
+    operands = [_emit(node, depth + 1, ctx) for node in _operands(c)]
+    return "(" + (" and " if isinstance(c, And) else " or ").join(operands) + ")"
+
+
+def _mask_code(c, ctx):
+    lines = []
+    result = _emit_mask(c, 0, "S", ctx, lines)
+    body = "".join(f"        {line}\n" for line in lines)
+    return f"    def mask(d, B, S):\n{body}        return {result}\n    return mask"
+
+
+def _emit_mask(c, depth, s, ctx, lines):
+    """Append to ``lines`` the statements that set a new local to the subset
+    of the bitset ``s`` that satisfies ``c``, ``depth`` operators below its
+    root; return the local's name."""
+    if isinstance(c, (Eq, Neq)):
+        k = _leaf(c, ctx)
+        lines.append(f"b = B[s{k}]")
+        lines.append(f"if {s} & b.get(U, 0): _undefined(n, {k})")
+        # no tuple left in s holds UNSET in the slot
+        lines.append(f"t{len(lines)} = {s} & {'' if isinstance(c, Eq) else '~'}b.get(d, 0)")
+    elif depth == _NEST:
+        lines.append(f"t{len(lines)} = g{_cut(c, ctx)}(d, B, {s})")
+    elif isinstance(c, Not):
+        kept = _emit_mask(c.body, depth + 1, s, ctx, lines)
+        lines.append(f"t{len(lines)} = {s} ^ {kept}")
+    elif isinstance(c, And):
+        for node in _operands(c):
+            s = _emit_mask(node, depth + 1, s, ctx, lines)
+        return s
+    else:
+        rest = s
+        for node in _operands(c):
+            kept = _emit_mask(node, depth + 1, rest, ctx, lines)
+            lines.append(f"t{len(lines)} = {rest} ^ {kept}")
+            rest = f"t{len(lines) - 1}"
+        lines.append(f"t{len(lines)} = {s} ^ {rest}")
+    return f"t{len(lines) - 1}"
 
 
 def _undefined(names, k):
@@ -230,10 +320,10 @@ def _undefined(names, k):
 
 @lru_cache(maxsize=1024)
 def _guard_maker(body, n_slots, n_callees):
-    """``make(names, *slot indices, *callees)``, which returns the guard
-    ``lambda d, r: body``; compiled once per condition shape."""
+    """``make(names, *slot indices, *callees)``, whose body is ``body``: it
+    returns a generated test or mask; compiled once per condition shape."""
     params = ["n", *(f"s{k}" for k in range(n_slots)), *(f"g{j}" for j in range(n_callees))]
-    source = f"def make({', '.join(params)}):\n    return lambda d, r: {body}\n"
+    source = f"def make({', '.join(params)}):\n{body}\n"
     namespace = {"U": UNSET, "_undefined": _undefined}
     exec(compile(source, "<guard>", "exec"), namespace)
     return namespace["make"]

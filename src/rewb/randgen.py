@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import expr as E
 from .data import DataGraph, fresh_value, graph
-from .evaluate import eval_flat, eval_oracle, eval_stratified, member, witness_path
+from .evaluate import connected, eval_flat, eval_oracle, eval_stratified, member, witness_path
 from .syntax import print_expr, print_graph, print_valuation
 
 LETTERS = ("a", "b")
@@ -108,7 +108,8 @@ class SelftestReport:
 
 def selftest(seed: int = 0, cases: int = 100) -> SelftestReport:
     """Run the three engines on random instances and compare result sets,
-    then check ``witness_path`` against the flat result on every node pair."""
+    then check ``connected`` and ``witness_path`` against the flat result on
+    every node pair."""
     rng = random.Random(seed)
     report = SelftestReport(cases)
     for case in range(cases):
@@ -118,8 +119,8 @@ def selftest(seed: int = 0, cases: int = 100) -> SelftestReport:
         flat = eval_flat(e, g, val)
         strat = eval_stratified(e, g, val)
         oracle = eval_oracle(e, g, val)
-        witness = _witness_fault(e, g, val, flat)
-        if not (flat == strat == oracle) or witness:
+        pair = _pair_fault(e, g, val, flat)
+        if not (flat == strat == oracle) or pair:
             report.failures.append(
                 {
                     "case": case,
@@ -129,19 +130,22 @@ def selftest(seed: int = 0, cases: int = 100) -> SelftestReport:
                     "flat": sorted(flat),
                     "stratified": sorted(strat),
                     "oracle": sorted(oracle),
-                    "witness": witness,
+                    "pairs": pair,
                 }
             )
     return report
 
 
-def _witness_fault(e, g, val, flat):
-    """The first node pair whose witness disagrees with ``flat``, as a
-    short description, or None. A pair in ``flat`` must get a path that
-    chains its nodes over graph edges and spells a word ``e`` accepts; a
-    pair outside it must get None."""
+def _pair_fault(e, g, val, flat):
+    """The first node pair whose ``connected`` answer or witness disagrees
+    with ``flat``, as a short description, or None. ``connected`` must hold
+    exactly on the pairs in ``flat``. A pair in ``flat`` must get a path
+    that chains its nodes over graph edges and spells a word ``e`` accepts;
+    a pair outside it must get None."""
     for u in sorted(g.nodes):
         for v in sorted(g.nodes):
+            if connected(e, g, val, u, v) != ((u, v) in flat):
+                return f"{u} -> {v}: connected disagrees with the flat result"
             path = witness_path(e, g, val, u, v)
             if (path is None) == ((u, v) in flat):
                 return f"{u} -> {v}: witness {path} disagrees with the flat result"

@@ -1,11 +1,16 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import io
+import random
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import rewb.expr as E
 from rewb.cli import main
+from rewb.evaluate import eval_flat
+from rewb.randgen import random_expr, random_graph, random_valuation
+from rewb.syntax import print_expr, print_graph, print_valuation
 
 
 def run(argv):
@@ -109,6 +114,32 @@ def test_eval_from_to_and_witness(tmp_path):
     for flag in (["--from", "u"], ["--to", "v"]):
         code, _, err = run(["eval", "--expr", "a[x=]", "--graph", str(graph_file)] + flag)
         assert code == 1 and "--from and --to must be given together" in err
+
+
+def test_eval_from_to_with_the_flat_engine_runs_one_targeted_search(tmp_path, monkeypatch):
+    import rewb.cli as cli
+
+    rng = random.Random(43)
+    cases = []
+    for case in range(40):
+        e = random_expr(rng, 8, max_e_level=2)
+        g = random_graph(rng)
+        val = random_valuation(rng, sorted(E.free_vars(e)), sorted(g.data_values()))
+        graph_file = tmp_path / f"{case}.graph"
+        graph_file.write_text(print_graph(g), encoding="utf-8")
+        argv = ["eval", "--expr", print_expr(e), "--graph", str(graph_file), "--val", print_valuation(val)]
+        pairs = eval_flat(e, g, val)
+        for u in sorted(g.nodes):
+            v = rng.choice(sorted(g.nodes))
+            cases.append((argv + ["--from", u, "--to", v], "true\n" if (u, v) in pairs else "false\n"))
+
+    def no_full_evaluation(*args):
+        raise AssertionError("eval_flat called")
+
+    monkeypatch.setattr(cli, "eval_flat", no_full_evaluation)
+    assert {expected for _, expected in cases} == {"true\n", "false\n"}
+    for argv, expected in cases:
+        assert run(argv) == (0, expected, "")
 
 
 @pytest.mark.parametrize("flags, first, second", [
@@ -267,6 +298,28 @@ def test_selftest_reports_a_witness_that_misses_its_target(monkeypatch):
     code, out, err = run(["selftest", "--seed", "3", "--cases", "25"])
     assert code == 1 and out == ""
     assert "engine disagreement" in err and "is not a witness" in err and "graph:" in err
+
+
+def test_selftest_reports_a_connected_answer_that_disagrees(monkeypatch):
+    import rewb.randgen as randgen
+
+    truth = randgen.connected
+
+    def faulty(e, g, val, u, v):
+        return truth(e, g, val, u, v) != (u == v)  # wrong on the diagonal
+
+    monkeypatch.setattr(randgen, "connected", faulty)
+    code, out, err = run(["selftest", "--seed", "3", "--cases", "25"])
+    assert code == 1 and out == ""
+    assert "engine disagreement" in err and "connected disagrees with the flat result" in err
+    assert "graph:" in err
+
+
+def test_parse_dump_ast_of_ten_thousand_nested_binders():
+    code, out, err = run(["parse", "a@x(" * 10_000 + "b[x=]" + ")" * 10_000, "--dump-ast"])
+    assert (code, err) == (0, "")
+    binder = "Bind(letter='a', var='x', body="
+    assert out == binder * 10_000 + "Test(letter='b', cond=Eq(var='x'))" + ")" * 10_000 + "\n"
 
 
 def test_usage_errors_exit_2():

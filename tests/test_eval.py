@@ -14,6 +14,7 @@ from rewb.data import fresh_value, graph, word_values
 from rewb.errors import BudgetError, CompatibilityError, UndefinedVariableError
 from rewb.evaluate import (
     _compiled,
+    _layered,
     _search,
     connected,
     eval_any,
@@ -371,9 +372,10 @@ def test_witness_is_none_without_a_graph_path_or_an_accepted_one():
 
 
 def test_witness_takes_the_shorter_route_to_a_configuration_queued_first_by_a_longer_one():
-    # Distances to t: s 3, b 2, c 1, a 3, x 2, y 1. The search pops s, then
-    # b and c (f = 3), and c queues x after three edges; the c-b-t edge is
-    # rejected. Only then does a (f = 4) reach x after two edges.
+    # Two routes from s meet at x: s-a-x takes two edges, s-b-c-x three.
+    # The b side is one edge from t at c, but its c-b-t edge is labelled b,
+    # which a* rejects, so every witness goes on through x-y-t, and the
+    # shortest one takes the two-edge route to x.
     g = graph([
         ("s", "a", "1", "a"), ("a", "a", "1", "x"),
         ("s", "a", "1", "b"), ("b", "a", "1", "c"), ("c", "b", "1", "t"), ("c", "a", "1", "x"),
@@ -384,9 +386,9 @@ def test_witness_takes_the_shorter_route_to_a_configuration_queued_first_by_a_lo
 
 
 def test_witness_ends_when_a_final_configuration_is_popped_not_when_queued():
-    # The search pops s, then t after a (f = 1), which queues t after a.b
-    # (f = 2) on top of y after c; that one queues t final after a.b.b
-    # (f = 3) before y queues t final after c.c (f = 2).
+    # t is one edge from s by a and two by c through y. The a route reaches
+    # t first but not in a final state; a.b.b ends there after the b self
+    # loop is taken twice, three edges, while c.c ends there after two.
     g = graph([("s", "a", "1", "t"), ("t", "b", "1", "t"), ("s", "c", "1", "y"), ("y", "c", "1", "t")])
     assert witness_path(parse_expr("a.b.b+c.c"), g, {}, "s", "t") == [
         ("s", "c", "1", "y"), ("y", "c", "1", "t")]
@@ -433,24 +435,6 @@ def test_a_graph_builds_its_adjacency_once():
     fresh = graph(edges, source="u")
     assert fresh == g and hash(fresh) == hash(g)
     assert fresh.out_edges() == adj and fresh.out_edges() is not adj
-
-
-def test_a_graph_builds_its_reverse_adjacency_once():
-    edges = [("u", "a", "1", "v"), ("v", "b", "2", "u"), ("u", "b", "2", "v")]
-    g = graph(edges, nodes=["w"])
-    dump = pickle.dumps(g)
-    preds = g.in_nodes()
-    assert preds is g.in_nodes()
-    assert {n: sorted(srcs) for n, srcs in preds.items()} == {"u": ["v"], "v": ["u", "u"], "w": []}
-    assert witness_path(E.Atom("a"), g, {}, "u", "v") == [("u", "a", "1", "v")]
-    assert g.in_nodes() is preds
-    assert pickle.dumps(g) == dump
-    copy = pickle.loads(dump)
-    assert copy == g and hash(copy) == hash(g)
-    assert copy.in_nodes() == preds and copy.in_nodes() is not preds
-    fresh = graph(edges, nodes=["w"])
-    assert fresh == g and hash(fresh) == hash(g)
-    assert fresh.in_nodes() == preds and fresh.in_nodes() is not preds
 
 
 def test_eval_stratified_renames_a_tree_once(monkeypatch):
@@ -525,6 +509,46 @@ def test_searches_raise_on_unset_variables_exactly_when_a_dict_search_does():
             raised += got is UndefinedVariableError
             agreed += 1
     assert 0 < raised < agreed
+
+
+def test_layered_search_raises_on_unset_variables_exactly_when_a_dict_search_does():
+    # the set functions raise when some tuple of the set would, so the
+    # layered search raises on the same instances as a dict search
+    rng = random.Random(89)
+    raised = agreed = 0
+    for _ in range(300):
+        e = random_expr(rng, 12, letters=LETTERS3, variables=VARIABLES3, max_e_level=3)
+        g = random_graph(rng, 4, 9, letters=LETTERS3)
+        val = {v: rng.choice("123") for v in sorted(e.free) if rng.random() < 0.6}
+        nfa, adj = _compiled(e), g.out_edges()
+        for u in sorted(g.nodes):
+            try:
+                expected = reachable_finals(e, g, val, u)
+            except UndefinedVariableError:
+                expected = UndefinedVariableError
+            try:
+                got = _layered(nfa, adj, val, u)
+            except UndefinedVariableError:
+                got = UndefinedVariableError
+            assert got == expected
+            raised += got is UndefinedVariableError
+            agreed += 1
+    assert 0 < raised < agreed
+
+
+def test_connected_matches_eval_flat_on_cyclic_graphs():
+    rng = random.Random(71)
+    held = 0
+    for _ in range(1000):
+        e = random_expr(rng, 8, letters=LETTERS3, variables=VARIABLES3, max_e_level=3)
+        g = random_graph(rng, max_nodes=6, max_edges=14, letters=LETTERS3)
+        val = random_valuation(rng, sorted(E.free_vars(e)), sorted(g.data_values()))
+        pairs = eval_flat(e, g, val)
+        for u in sorted(g.nodes):
+            for v in sorted(g.nodes):
+                assert connected(e, g, val, u, v) == ((u, v) in pairs), (print_expr(e), u, v)
+        held += len(pairs)
+    assert held > 1000
 
 
 def test_oracle_bound_counts_as_the_built_automata_do():

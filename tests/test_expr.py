@@ -211,6 +211,53 @@ def test_compiled_conditions_agree_with_satisfies():
     assert 0 < raised < 3000
 
 
+def _buckets(tuples):
+    """Per slot, each value's bitset of the tuples holding it."""
+    buckets = [{} for _ in tuples[0]]
+    for i, regs in enumerate(tuples):
+        for bucket, value in zip(buckets, regs):
+            bucket[value] = bucket.get(value, 0) | 1 << i
+    return buckets
+
+
+def test_set_masks_agree_with_compiled_tests_tuple_by_tuple():
+    # a mask keeps exactly the tuples of the set whose test passes, and
+    # raises iff the test raises on one of them
+    variables = ["x", "y", "z"]
+    slot = {v: i for i, v in enumerate(variables)}
+    rng = random.Random(97)
+    raised = mixed = 0
+    for _ in range(3000):
+        c = random_cond(rng, variables, 3)
+        tuples = [tuple(E.UNSET if rng.random() < 0.06 else rng.choice("123") for _ in variables)
+                  for _ in range(rng.randint(6, 9))]
+        subset = rng.getrandbits(len(tuples))
+        d = rng.choice("123")
+        test = E.compile_cond(c, slot)
+        outcomes = {i: _outcome(test, d, tuples[i]) for i in range(len(tuples)) if subset >> i & 1}
+        if UndefinedVariableError in outcomes.values():
+            expected = UndefinedVariableError
+        else:
+            expected = sum(1 << i for i, ok in outcomes.items() if ok)
+        got = _outcome(E.compile_mask(c, slot), d, _buckets(tuples), subset)
+        assert got == expected, (c, tuples, subset, d)
+        raised += expected is UndefinedVariableError
+        mixed += expected is not UndefinedVariableError and 0 < expected < subset
+    assert 300 < raised < 2700 and mixed > 300
+
+
+def test_masks_of_one_shape_share_their_code():
+    first = E.compile_mask(E.And(E.Eq("x"), E.Not(E.Neq("y"))), {"x": 0, "y": 1})
+    second = E.compile_mask(E.And(E.Eq("p"), E.Not(E.Neq("q"))), {"p": 3, "q": 2})
+    assert first.__code__ is second.__code__
+    tuples = [("1", "1"), ("1", "2"), ("2", "1")]
+    assert first("1", _buckets(tuples), 0b111) == 0b001
+    tuples = [(None, None, "2", "1"), (None, None, "1", "1"), (None, None, E.UNSET, "2")]
+    assert second("1", _buckets(tuples), 0b111) == 0b010  # the third fails p=
+    with pytest.raises(UndefinedVariableError, match="variable q has no value"):
+        second("2", _buckets(tuples), 0b111)
+
+
 def test_compiled_condition_short_cuts_like_satisfies():
     test = E.compile_cond(E.Or(E.Eq("x"), E.Eq("y")), {"x": 0, "y": 1})
     assert test("1", ("1", E.UNSET)) is True
@@ -245,11 +292,14 @@ def _valuations(rng, trials):
 def _check_generated_against_satisfies(c, rng, trials):
     slot = {v: i for i, v in enumerate(VS)}
     test = E.compile_cond(c, slot)
+    mask = E.compile_mask(c, slot)
     outcomes = set()
     for val in _valuations(rng, trials):
         regs = tuple(val.get(v, E.UNSET) for v in VS)
         expected = _outcome(E.satisfies, c, "2", val)
         assert _outcome(test, "2", regs) is expected
+        kept = _outcome(mask, "2", _buckets([regs]), 1)
+        assert kept is expected if kept is UndefinedVariableError else kept == expected
         outcomes.add(expected)
     return outcomes
 
