@@ -16,6 +16,7 @@ from . import randgen
 from .automata import automaton_size, dump_automaton
 from .errors import BudgetError, RewbError, ValidationError
 from .evaluate import (
+    _closing_valuations,
     connected,
     eval_any,
     eval_flat,
@@ -129,8 +130,10 @@ def _cmd_eval(args):
             for src, letter, value, dst in path:
                 print(f"{src} {letter} {value} {dst}")
         return 0
-    if args.source is not None and args.engine == "flat" and not args.any:
-        print("true" if connected(e, g, val, args.source, args.target) else "false")
+    if args.source is not None and args.engine == "flat":
+        vals = _closing_valuations(e.free, g.data_values()) if args.any else (val,)
+        held = any(connected(e, g, v, args.source, args.target) for v in vals)
+        print("true" if held else "false")
         return 0
     if args.any:
         pairs = eval_any(e, g)

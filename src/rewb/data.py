@@ -48,10 +48,18 @@ class DataGraph:
             adj[edge[0]].append(edge)
         return adj
 
+    @cached_property
+    def search_memo(self) -> dict:
+        """At most one running search of ``evaluate`` on this graph (see
+        ``evaluate._reached``), kept here so that it is freed with the graph."""
+        return {}
+
     def __getstate__(self):
-        """Pickle the fields only: the adjacency map is rebuilt on demand."""
+        """Pickle the fields only: the adjacency map is rebuilt on demand and
+        the search memo starts empty."""
         state = dict(self.__dict__)
         state.pop("_adjacency", None)
+        state.pop("search_memo", None)
         return state
 
     def data_values(self) -> set:

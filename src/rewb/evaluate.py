@@ -27,14 +27,22 @@ other:
     entries, each carrying the set of tuples that reach it as an int
     bitset, in the bit-parallel manner of Baeza-Yates and Gonnet applied
     to the register dimension. A guard is one call of a generated set
-    function on all of an entry's new tuples. It serves ``connected``,
-    which stops once the target is reached in a final state, and
-    ``witness_path``, which reads a shortest path back from the parent
-    records the layers leave. On the reduction gadgets a (node, state) is
-    met with up to hundreds of tuples: on the 28 SAT/WQSAT gadgets of the
-    ``decide`` benchmark, timed alike, ``connected`` took 15-17 ms against
-    ``_search``'s 35-38, and ``witness_path`` 9-10 ms against the A*
-    search it replaced, 15-17.
+    function on all of an entry's new tuples. On the reduction gadgets a
+    (node, state) is met with up to hundreds of tuples: on the 28
+    SAT/WQSAT gadgets of the ``decide`` benchmark, timed alike,
+    ``connected`` took 15-17 ms against ``_search``'s 35-38, and
+    ``witness_path`` 9-10 ms against the A* search it replaced, 15-17.
+    It serves ``connected`` and ``witness_path`` through one search per
+    source: a generator that records every entry's parents and yields
+    each node the first time it is reached in a final state. A graph keeps
+    its last such search, keyed by the NFA, the initial register tuple and
+    the source; ``connected`` resumes it until the target is yielded or the
+    search ends, and ``witness_path`` reads a shortest path back from the
+    records up to the one that first reached the target. So ``connected``
+    and then ``witness_path`` on one pair, or every target from one source,
+    cost one search. The memory held is one search's records per graph,
+    freed with the graph. A graph's search is not thread-safe: two threads
+    must not ask ``connected`` or ``witness_path`` on one graph at once.
 
   ``member`` and ``eval_oracle`` share one interpreted step (``_step``)
   over dict valuations that keep every binding, the reference for the
@@ -195,7 +203,7 @@ def member_any(e: E.Rewb, w: DataWord) -> bool:
 # Configuration search
 
 
-def _search(nfa, adj, val, start, target=None):
+def _search(nfa, adj, val, start):
     """Depth-first search over configurations (node, state, register tuple number).
 
     Starts from ``start`` in the initial state with ``val`` in the free
@@ -204,9 +212,7 @@ def _search(nfa, adj, val, start, target=None):
     die there in one splice. The search numbers each register tuple it
     meets, in the order met, and keys a configuration by that number, so a
     tuple is hashed only where a move changes one. Returns the set of nodes
-    reached in a final state. With ``target`` set, stops as soon as the
-    target is in that set; depth-first order meets a reachable target after
-    fewer configurations than breadth-first on the reduction gadgets.
+    reached in a final state.
     """
     finals = nfa.finals
     index = nfa.search_index
@@ -215,11 +221,7 @@ def _search(nfa, adj, val, start, target=None):
     tuples = [regs]
     number = {regs: 0}
     key0 = (start, 0, 0)
-    hits = set()
-    if 0 in finals:
-        hits.add(start)
-        if start == target:
-            return hits
+    hits = {start} if 0 in finals else set()
     seen = {key0}
     todo = [key0]
     while todo:
@@ -250,8 +252,6 @@ def _search(nfa, adj, val, start, target=None):
                 todo.append(k2)
                 if q2 in finals:
                     hits.add(dst)
-                    if dst == target:
-                        return hits
     return hits
 
 
@@ -279,7 +279,7 @@ def connected(e: E.Rewb, g: DataGraph, val, u, v) -> bool:
     val = dict(val or {})
     nfa = _checked_nfa(e, val)
     _check_nodes(g, u, v)
-    return v in _layered(nfa, g.out_edges(), val, u, v)
+    return _reached(nfa, g, val, u, v)[1] is not None
 
 
 def eval_any(e: E.Rewb, g: DataGraph) -> set:
@@ -299,49 +299,84 @@ def witness_path(e: E.Rewb, g: DataGraph, val, u, v):
     ``val``, and no shorter such path exists: ``_layered`` reaches each
     configuration first in the layer of its fewest edges, and the path is
     read back from its parent records, from the first tuple that reached
-    ``v`` in a final state.
+    ``v`` in a final state. After ``connected`` with the same arguments it
+    reads the records of that call's search and searches no further.
     """
     val = dict(val or {})
     nfa = _checked_nfa(e, val)
     _check_nodes(g, u, v)
-    parents = []
-    if v not in _layered(nfa, g.out_edges(), val, u, v, parents):
+    parents, i = _reached(nfa, g, val, u, v)
+    if i is None:
         return None
-    records = {}
-    for record in parents:
-        records.setdefault(record[0], []).append(record[1:])
     path = []
-    key, bits = parents[-1][:2] if parents else ((u, 0), 1)
+    key, bits = parents[i - 1][:2] if i else ((u, 0), 1)
     r = (bits & -bits).bit_length() - 1
     while key != (u, 0):  # no move enters state 0, so (u, 0) holds only tuple 0
-        for bits, parent, edge, origin in records[key]:
-            if bits >> r & 1:
-                break
+        # A tuple's record comes after its parent's, and each (entry, tuple)
+        # is in exactly one record, so one backward scan finds them all.
+        i -= 1
+        while parents[i][0] != key or not parents[i][1] >> r & 1:
+            i -= 1
+        _, _, key, edge, origin = parents[i]
         path.append(edge)
-        key = parent
         if origin is not None:
             r = origin[r]
     path.reverse()
     return path
 
 
-def _layered(nfa, adj, val, start, target=None, parents=None):
+def _reached(nfa, g, val, u, v):
+    """(parents, i): the parent records of the search from ``u``, and how
+    many of them lead up to the one that first reached ``v`` in a final
+    state, 0 when that is ``u`` in the initial state; ``i`` is None when no
+    accepted path leads from ``u`` to ``v``.
+
+    Resumes the graph's running ``_layered`` search (``search_memo``), only
+    as far as ``v`` needs, when it has the same NFA, initial register tuple
+    and source, and otherwise starts a new one in its place. A search that
+    raises is dropped: a generator that raised is finished, and resuming it
+    would read as no path. Not thread-safe.
+    """
+    key = (nfa, _registers(nfa, val), u)
+    memo = g.search_memo
+    run = memo.get(key)
+    if run is None:
+        memo.clear()
+        parents = []
+        run = memo[key] = (_layered(nfa, g.out_edges(), val, u, parents), parents, {})
+    steps, parents, hits = run
+    if v not in hits:
+        try:
+            for node in steps:
+                hits[node] = len(parents)
+                if node == v:
+                    break
+        except BaseException:
+            memo.clear()
+            raise
+    return parents, hits.get(v)
+
+
+def _layered(nfa, adj, val, start, parents):
     """Breadth-first search over (node, state) entries, each with the set of
     register tuples that reach it as an int bitset over the tuple numbers.
 
-    Starts like ``_search`` and returns the same set of nodes reached in a
-    final state, stopping with ``target`` as soon as it is in that set. The
-    search runs in strict layers: a layer merges every tuple that reaches
-    an entry in it before the next layer expands that entry, so each
-    (node, state, tuple) is reached first after its fewest edges. A move's
-    guard is one call of its ``mask_index`` set function on all new tuples
-    of the entry (``buckets`` holds, per slot, the bitset of the tuples of
-    each value); a splice maps the tuples it keeps one by one through the
-    numbering. With ``parents``, a list, every entry that gains tuples
-    appends a record (entry, new tuples, parent entry, edge, origin), where
-    ``origin`` maps each new tuple number to the one it was spliced from,
-    or is None when the move keeps the tuples; when the search stops at
-    ``target`` the last record holds the final entry.
+    Starts like ``_search`` and yields the same nodes, each the first time
+    it is reached in a final state; a caller resumes it only as far as it
+    needs. The search runs in strict layers: a layer merges every tuple
+    that reaches an entry in it before the next layer expands that entry,
+    so each (node, state, tuple) is reached first after its fewest edges. A
+    move's guard is one call of its ``mask_index`` set function on all new
+    tuples of the entry (``buckets`` holds, per slot, the bitset of the
+    tuples of each value); a splice maps the tuples it keeps one by one
+    through the numbering. Every entry that gains tuples appends a record
+    (entry, new tuples, parent entry, edge, origin) to the list ``parents``,
+    where ``origin`` maps each new tuple number to the one it was spliced
+    from, or is None when the move keeps the tuples. When a node is
+    yielded, the last record holds the final entry that reached it, and
+    none does for ``start`` in the initial state. Which layer reaches an
+    entry does not depend on how far the caller resumes, so neither do the
+    records.
     """
     finals = nfa.finals
     index = nfa.mask_index
@@ -353,8 +388,7 @@ def _layered(nfa, adj, val, start, target=None, parents=None):
     hits = set()
     if 0 in finals:
         hits.add(start)
-        if start == target:
-            return hits
+        yield start
     seen = {(start, 0): 1}
     layer = dict(seen)
     while layer:
@@ -373,8 +407,7 @@ def _layered(nfa, adj, val, start, target=None, parents=None):
                         continue
                     origin = None
                     if splice is not None:
-                        if parents is not None:
-                            origin = {}
+                        origin = {}
                         moved = 0
                         while kept:
                             low = kept & -kept
@@ -388,8 +421,7 @@ def _layered(nfa, adj, val, start, target=None, parents=None):
                                 for bucket, value in zip(buckets, stored):
                                     bucket[value] = bucket.get(value, 0) | 1 << r2
                             moved |= 1 << r2
-                            if origin is not None:
-                                origin.setdefault(r2, r)
+                            origin.setdefault(r2, r)
                         kept = moved
                     k2 = (dst, q2)
                     old = seen.get(k2, 0)
@@ -398,14 +430,11 @@ def _layered(nfa, adj, val, start, target=None, parents=None):
                         continue
                     seen[k2] = old | new
                     nxt[k2] = nxt.get(k2, 0) | new
-                    if parents is not None:
-                        parents.append((k2, new, key, edge, origin))
-                    if q2 in finals:
+                    parents.append((k2, new, key, edge, origin))
+                    if q2 in finals and dst not in hits:
                         hits.add(dst)
-                        if dst == target:
-                            return hits
+                        yield dst
         layer = nxt
-    return hits
 
 
 # ---------------------------------------------------------------------------

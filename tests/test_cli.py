@@ -8,7 +8,7 @@ import pytest
 
 import rewb.expr as E
 from rewb.cli import main
-from rewb.evaluate import eval_flat
+from rewb.evaluate import eval_any, eval_flat
 from rewb.randgen import random_expr, random_graph, random_valuation
 from rewb.syntax import print_expr, print_graph, print_valuation
 
@@ -139,6 +139,30 @@ def test_eval_from_to_with_the_flat_engine_runs_one_targeted_search(tmp_path, mo
     monkeypatch.setattr(cli, "eval_flat", no_full_evaluation)
     assert {expected for _, expected in cases} == {"true\n", "false\n"}
     for argv, expected in cases:
+        assert run(argv) == (0, expected, "")
+
+
+def test_eval_any_from_to_stops_at_the_first_closing_valuation_that_connects(tmp_path, monkeypatch):
+    import rewb.cli as cli
+
+    rng = random.Random(47)
+    cases = []
+    for case in range(200):
+        e = random_expr(rng, 8, max_e_level=2)
+        g = random_graph(rng)
+        graph_file = tmp_path / f"{case}.graph"
+        graph_file.write_text(print_graph(g), encoding="utf-8")
+        u, v = rng.choice(sorted(g.nodes)), rng.choice(sorted(g.nodes))
+        argv = ["eval", "--expr", print_expr(e), "--graph", str(graph_file), "--any", "--from", u, "--to", v]
+        cases.append((argv, "true\n" if (u, v) in eval_any(e, g) else "false\n", bool(e.free)))
+
+    def no_full_evaluation(*args):
+        raise AssertionError("eval_any called")
+
+    monkeypatch.setattr(cli, "eval_any", no_full_evaluation)
+    assert {(expected, free) for _, expected, free in cases} == {
+        (expected, free) for expected in ("true\n", "false\n") for free in (True, False)}
+    for argv, expected, _ in cases:
         assert run(argv) == (0, expected, "")
 
 

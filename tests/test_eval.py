@@ -429,12 +429,94 @@ def test_a_graph_builds_its_adjacency_once():
     assert adj == {"u": [("u", "a", "1", "v"), ("u", "b", "2", "w")],
                    "v": [("v", "b", "2", "u")], "w": []}
     assert pickle.dumps(g) == dump
+    e = parse_expr("a.b*")
+    assert connected(e, g, {}, "u", "w") and witness_path(e, g, {}, "u", "w")
+    assert g.search_memo and pickle.dumps(g) == dump  # the running search is not pickled
     copy = pickle.loads(dump)
     assert copy == g and hash(copy) == hash(g)
     assert copy.out_edges() == adj and copy.out_edges() is not adj
     fresh = graph(edges, source="u")
     assert fresh == g and hash(fresh) == hash(g)
     assert fresh.out_edges() == adj and fresh.out_edges() is not adj
+
+
+def test_one_graph_asked_every_pair_in_any_order_answers_as_fresh_copies_do():
+    # the running search is resumed, restarted and read back in a shuffled
+    # order of pairs and calls; a fresh copy of the graph per call has no
+    # search to share
+    rng = random.Random(97)
+    found = 0
+    for _ in range(1000):
+        e = random_expr(rng, 8, letters=LETTERS3, variables=VARIABLES3, max_e_level=3)
+        g = random_graph(rng, max_nodes=6, max_edges=14, letters=LETTERS3)
+        val = random_valuation(rng, sorted(E.free_vars(e)), sorted(g.data_values()))
+        asks = [(ask, u, v) for ask in (connected, witness_path) for u in g.nodes for v in g.nodes]
+        rng.shuffle(asks)
+        for ask, u, v in asks:
+            got = ask(e, g, val, u, v)
+            assert got == ask(e, graph(g.edges, g.nodes), val, u, v), (print_expr(e), u, v)
+            found += ask is witness_path and got is not None
+    assert found > 1000
+
+
+def _count_searches(monkeypatch):
+    import rewb.evaluate as ev
+
+    starts = []
+    layered = ev._layered
+
+    def counting(*args):
+        starts.append(args[3])
+        return layered(*args)
+
+    monkeypatch.setattr(ev, "_layered", counting)
+    return starts
+
+
+def test_witness_after_connected_on_the_same_pair_starts_no_second_search(monkeypatch):
+    starts = _count_searches(monkeypatch)
+    phi = parse_nnf("(p1 | !p2) & p2")
+    out = sat_reduction(phi, ["p1", "p2"])
+    g = out.graph
+    assert connected(out.expr, g, {}, g.source, g.sink)
+    path = witness_path(out.expr, g, {}, g.source, g.sink)
+    assert member(out.expr, tuple((letter, value) for _, letter, value, _ in path), {})
+    assert starts == [g.source]
+    for v in sorted(g.nodes):  # every target from one source: still one search
+        held = connected(out.expr, g, {}, g.source, v)
+        assert held == (witness_path(out.expr, g, {}, g.source, v) is not None)
+    assert starts == [g.source]
+    witness_path(out.expr, g, {}, g.sink, g.sink)  # another source starts another
+    assert starts == [g.source, g.sink]
+    copy = pickle.loads(pickle.dumps(g))
+    assert witness_path(out.expr, copy, {}, g.source, g.sink) == path
+    assert starts == [g.source, g.sink, g.source]
+
+
+def test_a_search_that_raises_leaves_no_memo_and_the_next_call_answers(monkeypatch):
+    starts = _count_searches(monkeypatch)
+    g = graph([("u", "a", "1", "v"), ("v", "b", "1", "w")])
+    e = parse_expr("a+a.b[x=]")
+    nfa = _compiled(e)
+    raised = []
+    for q, out in enumerate(nfa.mask_index):
+        if "b" in out:
+            (dst, mask, splice), = out["b"]
+
+            def flaky(d, buckets, bits, mask=mask):
+                if not raised:
+                    raised.append(d)
+                    raise RuntimeError("mask failed")
+                return mask(d, buckets, bits)
+
+            monkeypatch.setitem(out, "b", [(dst, flaky, splice)])
+    assert connected(e, g, {"x": "1"}, "u", "v")  # the b guard is not reached yet
+    with pytest.raises(RuntimeError):
+        connected(e, g, {"x": "1"}, "u", "w")
+    assert raised and not g.search_memo
+    assert connected(e, g, {"x": "1"}, "u", "w")
+    assert witness_path(e, g, {"x": "1"}, "u", "w") == [("u", "a", "1", "v"), ("v", "b", "1", "w")]
+    assert starts == ["u", "u"]
 
 
 def test_eval_stratified_renames_a_tree_once(monkeypatch):
@@ -527,7 +609,7 @@ def test_layered_search_raises_on_unset_variables_exactly_when_a_dict_search_doe
             except UndefinedVariableError:
                 expected = UndefinedVariableError
             try:
-                got = _layered(nfa, adj, val, u)
+                got = set(_layered(nfa, adj, val, u, []))
             except UndefinedVariableError:
                 got = UndefinedVariableError
             assert got == expected
