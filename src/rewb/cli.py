@@ -238,33 +238,20 @@ def _cmd_gadget(args):
         print(f"free-vars {' '.join(sorted(E.free_vars(delta))) or '-'}")
         return 0
 
-    atoms = _atoms_arg(args.atoms) if args.atoms else None
-    if kind == "formula":
-        if atoms is None:
-            raise ValidationError("formula needs --atoms")
-        phi = parse_nnf(args.formula)
-        k = args.k or len(atoms)
-        out = GadgetOutput(formula_graph(phi, atoms), eval_expr(k),
-                           tuple(f"x_{j}" for j in range(1, k + 1)))
-    elif kind == "sat":
-        if atoms is None:
-            raise ValidationError("sat needs --atoms")
-        out = sat_reduction(parse_nnf(args.formula), atoms)
-    elif kind == "exists":
-        if atoms is None or not args.k:
-            raise ValidationError("exists needs --atoms and --k")
-        phi = parse_nnf(args.formula)
-        out = exists_compose(args.k, atoms, formula_graph(phi, atoms), eval_expr(args.k))
-    elif kind == "forall":
-        if atoms is None or not args.k:
-            raise ValidationError("forall needs --atoms and --k")
-        phi = parse_nnf(args.formula)
-        out = forall_compose(args.k, atoms, formula_graph(phi, atoms), eval_expr(args.k))
-    elif kind == "wqsat":
+    if kind == "wqsat":
         blocks, weights = _blocks_arg(args.blocks)
-        out = wqsat_reduction(WqsatInstance(parse_nnf(args.formula), blocks, weights))
+        return _write_gadget(args, wqsat_reduction(WqsatInstance(parse_nnf(args.formula), blocks, weights)))
+    composed = kind in ("exists", "forall")
+    if not args.atoms or composed and not args.k:
+        raise ValidationError(f"{kind} needs --atoms" + (" and --k" if composed else ""))
+    atoms, phi = _atoms_arg(args.atoms), parse_nnf(args.formula)
+    if kind == "sat":
+        out = sat_reduction(phi, atoms)
+    elif kind == "formula":
+        out = GadgetOutput(formula_graph(phi, atoms), eval_expr(args.k or len(atoms)))
     else:
-        raise ValidationError(f"unknown gadget {kind!r}")
+        compose = exists_compose if kind == "exists" else forall_compose
+        out = compose(args.k, atoms, formula_graph(phi, atoms), eval_expr(args.k))
     return _write_gadget(args, out)
 
 

@@ -18,11 +18,11 @@ other:
 
   - ``_search``, depth-first over (node, state, tuple number), testing
     each guard with one call of its generated test. It serves
-    ``eval_flat``, ``eval_any`` and the stratified engine's binding-free
-    blocks, whose searches meet few tuples per (node, state): on the 22
-    ``eval_flat`` calls of the ``rpq`` benchmark (seed 7, each call's best
-    of 15, summed, on a 2-CPU shared host) the layered kernel below took
-    35-36 ms against its 27-29.
+    ``eval_flat`` (and through it ``eval_any``) and the stratified
+    engine's binding-free blocks, whose searches meet few tuples per
+    (node, state): on the 22 ``eval_flat`` calls of the ``rpq`` benchmark
+    (seed 7, each call's best of 15, summed, on a 2-CPU shared host) the
+    layered kernel below took 35-36 ms against its 27-29.
   - ``_layered``, breadth-first in strict layers over (node, state)
     entries, each carrying the set of tuples that reach it as an int
     bitset, in the bit-parallel manner of Baeza-Yates and Gonnet applied
@@ -30,8 +30,7 @@ other:
     function on all of an entry's new tuples. On the reduction gadgets a
     (node, state) is met with up to hundreds of tuples: on the 28
     SAT/WQSAT gadgets of the ``decide`` benchmark, timed alike,
-    ``connected`` took 15-17 ms against ``_search``'s 35-38, and
-    ``witness_path`` 9-10 ms against the A* search it replaced, 15-17.
+    ``connected`` took 15-17 ms against ``_search``'s 35-38.
     It serves ``connected`` and ``witness_path`` through one search per
     source: a generator that records every entry's parents and yields
     each node the first time it is reached in a final state. A graph keeps
@@ -74,15 +73,16 @@ Every entry point reads an expression's free variables from its node
 (``free``) and takes its register NFA from one cached compile step
 (``_compiled``), which builds the NFA from the position construction's
 transitions as they come. A tree that is not well-named is renamed first,
-and the renaming is shared (``_renamed``): the stratified engine walks the
-one the compile step made, while it lives. The register liveness and the
-compiled guards are made when a search first runs on an NFA, so
-``member`` never pays for them. Expressions with free variables are
-evaluated under an explicit valuation covering them ("compatible"); the
-``*_any`` variants close them off by enumerating input data values plus
-one shared fresh value, which suffices because conditions only compare a
-variable against the current letter's value, never variables against
-each other.
+by one cached step (``_renamed``) that returns a well-named tree as it is,
+so the stratified engine walks the renaming the compile step made; the
+witness, gadget and PCP generators build well-named trees, so theirs are
+never renamed. The register liveness and the compiled guards are made
+when a search first runs on an NFA, so ``member`` never pays for them.
+Expressions with free variables are evaluated under an explicit
+valuation covering them ("compatible"); the ``*_any`` variants close
+them off by enumerating input data values plus one shared fresh value,
+which suffices because conditions only compare a variable against the
+current letter's value, never variables against each other.
 
 The empty word is in the language of every epsilon-accepting expression,
 so such queries put (v, v) in the result for every node v.
@@ -91,7 +91,6 @@ so such queries put (v, v) in the result for every node v.
 from __future__ import annotations
 
 import itertools
-import weakref
 from functools import lru_cache
 
 from . import expr as E
@@ -114,23 +113,12 @@ def _check_covers(free, val):
         )
 
 
-_renamings = weakref.WeakValueDictionary()
-
-
+@lru_cache(maxsize=256)
 def _renamed(e):
     """A well-named form of ``e``: ``e`` itself if it is one, else
-    ``alpha_rename(e)``, shared by every caller for as long as one holds it.
-
-    The stratified engine's plan cache holds the renamings it walks, so a
-    tree it evaluates is renamed once. Compiling needs a renaming only while
-    it builds the NFA, so the flat engine does not keep a 12k-node one alive.
-    """
-    if e.well_named:
-        return e
-    renamed = _renamings.get(e)
-    if renamed is None:
-        renamed = _renamings[e] = E.alpha_rename(e)
-    return renamed
+    ``alpha_rename(e)``, so the compile step and the stratified engine
+    rename a tree once between them."""
+    return e if e.well_named else E.alpha_rename(e)
 
 
 @lru_cache(maxsize=256)
@@ -284,12 +272,7 @@ def connected(e: E.Rewb, g: DataGraph, val, u, v) -> bool:
 
 def eval_any(e: E.Rewb, g: DataGraph) -> set:
     """Union of eval_flat over all closing valuations of the free variables."""
-    nfa = _compiled(e)
-    adj = g.out_edges()
-    pairs = set()
-    for val in _closing_valuations(e.free, g.data_values()):
-        pairs |= {(u, v) for u in g.nodes for v in _search(nfa, adj, val, u)}
-    return pairs
+    return set().union(*(eval_flat(e, g, val) for val in _closing_valuations(e.free, g.data_values())))
 
 
 def witness_path(e: E.Rewb, g: DataGraph, val, u, v):

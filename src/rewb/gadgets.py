@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from . import expr as E
 from .data import DataGraph, graph
 from .errors import SourceError, ValidationError
+from .syntax import _where
 
 STAR_VALUE = "star"
 
@@ -97,20 +98,24 @@ def brute_formula(phi: NnfFormula, assignment) -> bool:
 
 
 def parse_nnf(text: str) -> NnfFormula:
-    """Small NNF syntax: atoms, '&', '|', '!' on atoms, parentheses."""
-    tokens = re.findall(r"[A-Za-z_][A-Za-z0-9_]*|[()&|!]|\S", text)
+    """Small NNF syntax: atoms, '&', '|', '!' on atoms, parentheses.
+
+    A syntax error gives the line and column of the offending token, or of
+    the end of the text."""
+    tokens = [(m.group(), m.start()) for m in re.finditer(r"[A-Za-z_][A-Za-z0-9_]*|\S", text)]
+    tokens.append((None, len(text)))
     pos = 0
 
     def error(msg):
-        return SourceError(msg, 1, 1)
+        return SourceError(msg, *_where(text, tokens[pos][1]))
 
     def peek():
-        return tokens[pos] if pos < len(tokens) else None
+        return tokens[pos][0]
 
     def take():
         nonlocal pos
         pos += 1
-        return tokens[pos - 1]
+        return tokens[pos - 1][0]
 
     def disjunction():
         items = [conjunction()]
@@ -139,17 +144,17 @@ def parse_nnf(text: str) -> NnfFormula:
             return out
         if tok == "!":
             take()
-            atom = take() if peek() else None
+            atom = peek()
             if atom is None or not _ATOM_RE.match(atom):
                 raise error("'!' must be followed by an atom")
-            return Neg(atom)
+            return Neg(take())
         if _ATOM_RE.match(tok):
             return Pos(take())
         raise error(f"unexpected token {tok!r}")
 
     out = disjunction()
-    if pos != len(tokens):
-        raise error(f"trailing input at token {tokens[pos]!r}")
+    if peek() is not None:
+        raise error(f"trailing input at token {peek()!r}")
     return out
 
 
@@ -208,15 +213,15 @@ def brute_wqsat(inst: WqsatInstance) -> bool:
 class GadgetOutput:
     graph: DataGraph
     expr: E.Rewb
-    free: tuple
+
+    @property
+    def free(self) -> tuple:
+        """The expression's free variables, sorted."""
+        return tuple(sorted(self.expr.free))
 
     def manifest(self) -> str:
         free = " ".join(self.free) if self.free else "-"
         return f"source {self.graph.source} / sink {self.graph.sink} / free-vars {free}"
-
-
-def _output(g, expr):
-    return GadgetOutput(g, expr, tuple(sorted(expr.free)))
 
 
 def union_all(parts) -> E.Rewb:
@@ -342,35 +347,39 @@ def sat_reduction(phi: NnfFormula, atoms) -> GadgetOutput:
     for j in range(len(atoms), 0, -1):
         expr = E.Bind("a", f"x_{j}", expr)
     g = graph(edges, source=chain[0], sink=sink)
-    return _output(g, expr)
+    return GadgetOutput(g, expr)
 
 
 # ---------------------------------------------------------------------------
 # Existential composition
 
 
-def exists_compose(k: int, atoms, g: DataGraph, e: E.Rewb, *, letter: str = "a1",
-                   variables=None, trusted: bool = False) -> GadgetOutput:
-    """Connectivity holds iff some injective valuation of the variables
-    into the atoms connects the inner graph under ``e``."""
-    atoms = list(atoms)
+def _composition_variables(kind, k, atoms, g, e, variables):
+    """The k variables a composition binds, x_1..x_k unless given, once the
+    checks that both compositions share have passed."""
     _check_atoms(atoms)
     if k < 1:
-        raise ValidationError("existential composition needs k >= 1")
+        raise ValidationError(f"{kind} composition needs k >= 1")
     if g.source is None or g.sink is None:
         raise ValidationError("inner graph needs source and sink")
-    if letter in _gadget_letters(g, e):
-        raise ValidationError(f"letter {letter!r} already used by the inner gadget")
     variables = list(variables) if variables is not None else [f"x_{j}" for j in range(1, k + 1)]
     if len(variables) != k:
         raise ValidationError("need exactly k variables")
     if not e.bound.isdisjoint(variables):
         raise ValidationError("composition variables must not be bound inside the expression")
-    if not trusted and not E.indistinguishable_sampled(e, variables, trials=200, seed=0):
-        raise ValidationError(
-            "variables failed the sampled indistinguishability check; "
-            "pass trusted=True to override"
-        )
+    return variables
+
+
+def exists_compose(k: int, atoms, g: DataGraph, e: E.Rewb, *, letter: str = "a1",
+                   variables=None) -> GadgetOutput:
+    """Connectivity holds iff some injective valuation of the variables
+    into the atoms connects the inner graph under ``e``."""
+    atoms = list(atoms)
+    variables = _composition_variables("existential", k, atoms, g, e, variables)
+    if letter in _gadget_letters(g, e):
+        raise ValidationError(f"letter {letter!r} already used by the inner gadget")
+    if not E.indistinguishable_sampled(e, variables, trials=200, seed=0):
+        raise ValidationError("variables failed the sampled indistinguishability check")
 
     used = set(g.nodes)
     chain = _fresh_nodes(used, "q", len(atoms)) + [g.source]
@@ -383,7 +392,7 @@ def exists_compose(k: int, atoms, g: DataGraph, e: E.Rewb, *, letter: str = "a1"
     for var in reversed(variables):
         expr = E.Concat(walk, E.Bind(letter, var, expr))
     out = graph(edges, source=chain[0], sink=g.sink)
-    return _output(out, expr)
+    return GadgetOutput(out, expr)
 
 
 # ---------------------------------------------------------------------------
@@ -395,14 +404,7 @@ def forall_compose(k: int, atoms, g: DataGraph, e: E.Rewb, *, skip_letter: str =
     """Connectivity holds iff every injective valuation of the variables
     into the atoms connects the inner graph under ``e``."""
     atoms = list(atoms)
-    _check_atoms(atoms)
-    if k < 1:
-        raise ValidationError("universal composition needs k >= 1")
-    if g.source is None or g.sink is None:
-        raise ValidationError("inner graph needs source and sink")
-    variables = list(variables) if variables is not None else [f"x_{j}" for j in range(1, k + 1)]
-    if len(variables) != k:
-        raise ValidationError("need exactly k variables")
+    variables = _composition_variables("universal", k, atoms, g, e, variables)
     if layer_letters is None:
         layer_letters = [(f"a{i}", f"b{i}", f"c{i}") for i in range(1, k + 1)]
     if len(layer_letters) != k:
@@ -414,8 +416,6 @@ def forall_compose(k: int, atoms, g: DataGraph, e: E.Rewb, *, skip_letter: str =
     clash = taken & set(introduced)
     if clash:
         raise ValidationError(f"letters already used by the inner gadget: {sorted(clash)}")
-    if not e.bound.isdisjoint(variables):
-        raise ValidationError("composition variables must not be bound inside the expression")
 
     used = set(g.nodes)
     edges = set(g.edges)
@@ -449,7 +449,7 @@ def forall_compose(k: int, atoms, g: DataGraph, e: E.Rewb, *, skip_letter: str =
         expr = E.Concat(E.Atom(b_l), E.Star(E.Concat(inner, E.Atom(c_l))))
 
     out = graph(edges, source=source, sink=sink)
-    return _output(out, expr)
+    return GadgetOutput(out, expr)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +466,7 @@ def wqsat_reduction(inst: WqsatInstance) -> GadgetOutput:
     """
     total = sum(inst.weights)
     all_atoms = [atom for block in inst.blocks for atom in block]
-    current = _output(formula_graph(inst.formula, all_atoms), eval_expr(total))
+    current = GadgetOutput(formula_graph(inst.formula, all_atoms), eval_expr(total))
 
     offsets = list(itertools.accumulate((0,) + inst.weights))
     for index in range(len(inst.blocks) - 1, -1, -1):

@@ -8,9 +8,20 @@ import pytest
 
 import rewb.expr as E
 from rewb.cli import main
-from rewb.evaluate import eval_any, eval_flat
+from rewb.evaluate import eval_any, eval_flat, eval_oracle, eval_stratified
+from rewb.gadgets import (
+    GadgetOutput,
+    WqsatInstance,
+    eval_expr,
+    exists_compose,
+    forall_compose,
+    formula_graph,
+    parse_nnf,
+    sat_reduction,
+    wqsat_reduction,
+)
 from rewb.randgen import random_expr, random_graph, random_valuation
-from rewb.syntax import print_expr, print_graph, print_valuation
+from rewb.syntax import parse_expr, print_expr, print_graph, print_valuation
 
 
 def run(argv):
@@ -260,6 +271,113 @@ def test_gadget_wqsat_rejects_bad_alternation():
         "gadget", "wqsat", "--blocks", "A1:pr1;E1:pr2", "--formula", "pr1",
     ])
     assert code == 1 and "existential" in err
+
+
+_P10 = ",".join(f"p{j}" for j in range(1, 11))
+
+
+def _inner(formula, atoms="p1,p2"):
+    return formula_graph(parse_nnf(formula), atoms.split(","))
+
+
+@pytest.mark.parametrize("argv, build, verdict", [
+    (["formula", "--formula", "p1 | p2", "--atoms", "p1,p2"],
+     lambda: GadgetOutput(_inner("p1 | p2"), eval_expr(2)), "true"),
+    (["formula", "--formula", "p1 & !p10", "--atoms", _P10],  # x_10 sorts before x_2
+     lambda: GadgetOutput(_inner("p1 & !p10", _P10), eval_expr(10)), "true"),
+    (["formula", "--formula", "p1", "--atoms", "p1,p2", "--k", "3"],
+     lambda: GadgetOutput(_inner("p1"), eval_expr(3)), "true"),
+    (["sat", "--formula", "p1 & !p1", "--atoms", "p1"],
+     lambda: sat_reduction(parse_nnf("p1 & !p1"), ["p1"]), "false"),
+    (["exists", "--formula", "p1 | p2", "--atoms", "p1,p2", "--k", "1"],
+     lambda: exists_compose(1, ["p1", "p2"], _inner("p1 | p2"), eval_expr(1)), "true"),
+    (["exists", "--formula", "p1 & p2", "--atoms", "p1,p2", "--k", "1"],
+     lambda: exists_compose(1, ["p1", "p2"], _inner("p1 & p2"), eval_expr(1)), "false"),
+    (["exists", "--formula", "p1 & p2", "--atoms", "p1,p2", "--k", "2"],
+     lambda: exists_compose(2, ["p1", "p2"], _inner("p1 & p2"), eval_expr(2)), "true"),
+    (["forall", "--formula", "p1 | p2", "--atoms", "p1,p2", "--k", "1"],
+     lambda: forall_compose(1, ["p1", "p2"], _inner("p1 | p2"), eval_expr(1)), "true"),
+    (["forall", "--formula", "p1", "--atoms", "p1,p2", "--k", "1"],
+     lambda: forall_compose(1, ["p1", "p2"], _inner("p1"), eval_expr(1)), "false"),
+    (["wqsat", "--blocks", "E1:p1,p2;A1:p3,p4", "--formula", "p1 & (p3|p4)"],
+     lambda: wqsat_reduction(WqsatInstance(parse_nnf("p1 & (p3|p4)"), (("p1", "p2"), ("p3", "p4")), (1, 1))),
+     "true"),
+], ids=["formula", "formula_k10", "formula_k3", "sat", "exists_or", "exists_and", "exists_k2", "forall_or",
+        "forall_one", "wqsat"])
+def test_gadget_kinds_write_the_library_gadget_and_its_manifest(tmp_path, argv, build, verdict):
+    graph_file, expr_file = tmp_path / "g.graph", tmp_path / "e.expr"
+    code, out, err = run(["gadget"] + argv + ["--out-graph", str(graph_file), "--out-expr", str(expr_file)])
+    want = build()
+    assert (code, out, err) == (0, want.manifest() + "\n", "")
+    assert graph_file.read_text(encoding="utf-8") == print_graph(want.graph)
+    assert expr_file.read_text(encoding="utf-8") == print_expr(want.expr) + "\n"
+    # the manifest lists the written expression's free variables, sorted
+    free = sorted(parse_expr(expr_file.read_text(encoding="utf-8")).free)
+    assert out.split("free-vars ")[1].split() == (free or ["-"])
+    source, sink = out.split()[1], out.split()[4]
+    check = ["eval", "--expr", f"@{expr_file}", "--graph", str(graph_file), "--from", source, "--to", sink]
+    assert run(check + (["--any"] if free else [])) == (0, verdict + "\n", "")
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["formula", "--formula", "p1"], "formula needs --atoms"),
+    (["sat", "--formula", "p1"], "sat needs --atoms"),
+    (["exists", "--formula", "p1", "--atoms", "p1"], "exists needs --atoms and --k"),
+    (["exists", "--formula", "p1", "--k", "1"], "exists needs --atoms and --k"),
+    (["forall", "--formula", "p1", "--atoms", "p1"], "forall needs --atoms and --k"),
+    (["forall", "--formula", "p1", "--k", "1"], "forall needs --atoms and --k"),
+])
+def test_gadget_kinds_reject_missing_atoms_or_k(tmp_path, argv, missing):
+    code, out, err = run(["gadget"] + argv + ["--out-graph", str(tmp_path / "g.graph")])
+    assert (code, out) == (1, "") and missing in err
+    assert not (tmp_path / "g.graph").exists()
+
+
+def test_gadget_reports_where_a_formula_error_is():
+    code, out, err = run(["gadget", "sat", "--formula", "p1 & (p2 | )", "--atoms", "p1,p2"])
+    assert (code, out, err) == (1, "", "error: 1:12: unexpected token ')'\n")
+
+
+def test_eval_any_lists_the_pairs_of_eval_any(tmp_path):
+    rng = random.Random(53)
+    listings = set()
+    for case in range(60):
+        e = random_expr(rng, 8, max_e_level=2)
+        g = random_graph(rng)
+        graph_file = tmp_path / f"{case}.graph"
+        graph_file.write_text(print_graph(g), encoding="utf-8")
+        listing = "".join(f"{u} {v}\n" for u, v in sorted(eval_any(e, g)))
+        assert run(["eval", "--expr", print_expr(e), "--graph", str(graph_file), "--any"]) == (0, listing, "")
+        listings.add((bool(listing), bool(e.free)))
+    assert listings == {(listed, free) for listed in (True, False) for free in (True, False)}
+
+
+@pytest.mark.parametrize("engine, evaluate", [("stratified", eval_stratified), ("oracle", eval_oracle)])
+def test_eval_from_to_with_other_engines_reads_their_pairs(tmp_path, engine, evaluate):
+    rng = random.Random(59)
+    answers = set()
+    for case in range(30):
+        e = random_expr(rng, 8, max_e_level=2)
+        g = random_graph(rng)
+        val = random_valuation(rng, sorted(e.free), sorted(g.data_values()))
+        graph_file = tmp_path / f"{case}.graph"
+        graph_file.write_text(print_graph(g), encoding="utf-8")
+        pairs = evaluate(e, g, val)
+        u, v = rng.choice(sorted(g.nodes)), rng.choice(sorted(g.nodes))
+        answer = "true\n" if (u, v) in pairs else "false\n"
+        argv = ["eval", "--expr", print_expr(e), "--graph", str(graph_file), "--val", print_valuation(val),
+                "--engine", engine, "--from", u, "--to", v]
+        assert run(argv) == (0, answer, "")
+        answers.add(answer)
+    assert answers == {"true\n", "false\n"}
+
+
+def test_eval_witness_prints_eps_for_the_empty_path(tmp_path):
+    graph_file = tmp_path / "g.graph"
+    graph_file.write_text("edge u a 5 v\n", encoding="utf-8")
+    argv = ["eval", "--expr", "a*", "--graph", str(graph_file), "--witness"]
+    assert run(argv + ["--from", "u", "--to", "u"]) == (0, "eps\n", "")
+    assert run(argv + ["--from", "u", "--to", "v"]) == (0, "u a 5 v\n", "")
 
 
 def test_gadget_pcp_commands(tmp_path):

@@ -163,7 +163,6 @@ def test_exists_compose_runs_the_indistinguishability_check():
     g = formula_graph(Pos("pr1"), ["pr1"])
     with pytest.raises(ValidationError):
         exists_compose(2, ["pr1", "pr2"], g, distinguishing)
-    exists_compose(2, ["pr1", "pr2"], g, distinguishing, trusted=True)
 
 
 def test_forall_compose_examples():
@@ -290,3 +289,19 @@ def test_parse_nnf():
         parse_nnf("a &")
     with pytest.raises(SourceError):
         parse_nnf("!(a|b)")  # negation only on atoms
+
+
+@pytest.mark.parametrize("text, line, column, message", [
+    ("p1 & (p2 | )", 1, 12, "unexpected token ')'"),
+    ("a &", 1, 4, "unexpected end of formula"),
+    ("(a | b", 1, 7, "missing ')'"),
+    ("a &\n  !(a|b)", 2, 4, "'!' must be followed by an atom"),
+    ("a b", 1, 3, "trailing input at token 'b'"),
+    ("a & $", 1, 5, "unexpected token '$'"),
+])
+def test_parse_nnf_reports_where_the_error_is(text, line, column, message):
+    from rewb.errors import SourceError
+
+    with pytest.raises(SourceError) as info:
+        parse_nnf(text)
+    assert (info.value.line, info.value.column, info.value.message) == (line, column, message)
