@@ -3,10 +3,12 @@
 Two views are built, both by one position (Glushkov) construction,
 ``_glushkov``, which each view gives a function that labels the nodes it
 reads as single positions, and both are one ``PositionAutomaton``: labels,
-finals and the (src, label, dst) transitions as the construction emits
-them, with no epsilon transitions. The state count is "letter occurrences
-+ 1" for the flattened view and "meta-letter occurrences + 1" for the
-hierarchical view.
+finals and one sorted successor tuple per state, shared by the states
+with equal successor sets, with no epsilon transitions. The construction
+runs on an explicit stack, so it does not recurse. The (src, label, dst)
+``transitions`` are built from the successor tuples only when read. The
+state count is "letter occurrences + 1" for the flattened view and
+"meta-letter occurrences + 1" for the hierarchical view.
 
 * ``hier_automaton`` keeps the expression's own level visible: a
   binding-free expression gets Read transitions over its letter
@@ -16,19 +18,20 @@ hierarchical view.
   those blocks); an expression that is properly F-shaped gets SubExpr
   transitions over its maximal E-level blocks.
 
-* ``register_nfa`` (a ``RegisterNfa``, the position automaton with a
-  per-state move index) flattens everything to guarded single-letter
-  transitions with store actions: a binder contributes its head letter
-  with a store, a conditioned letter contributes its guard. Acceptance is
-  defined over configurations (state, valuation); the language equals the
-  expression's language for every compatible starting valuation. Its
-  registers have one slot per free variable and one per binder nesting
-  depth, which the binders at that depth share. For the configuration
-  searches it compiles each guard once to a generated function of the
-  register tuple, or for the layered search of a set of numbered tuples,
-  so a search runs without re-interpreting guards, and it
-  empties a binder's register at the moves where it dies (no later guard
-  reads it before a store), so runs that differ only in dead values meet.
+* ``register_nfa`` (a ``RegisterNfa``, the position automaton with a move
+  row per state, stored once per distinct successor set) flattens
+  everything to guarded single-letter transitions with store actions: a
+  binder contributes its head letter with a store, a conditioned letter
+  contributes its guard. Acceptance is defined over configurations (state,
+  valuation); the language equals the expression's language for every
+  compatible starting valuation. Its registers have one slot per free
+  variable and one per binder nesting depth, which the binders at that
+  depth share. For the configuration searches it compiles each guard once
+  to a generated function of the register tuple, or for the layered search
+  of a set of numbered tuples, so a search runs without re-interpreting
+  guards, and it empties a binder's register at the moves where it dies
+  (no later guard reads it before a store), so runs that differ only in
+  dead values meet.
 
 Both constructions require the input to be well-named (binder names
 pairwise distinct and disjoint from the free variables); ``alpha_rename``
@@ -66,16 +69,26 @@ class PositionAutomaton:
     """Position automaton over the positions of one view.
 
     State 0 is initial; position ``i`` is state ``i + 1`` with label
-    ``labels[i]``, which every transition into it carries. ``transitions``
-    are the (src, label, dst) tuples in the order ``_glushkov`` emits its
-    arcs, sorted by (src, dst), which is unique.
+    ``labels[i]``, which every transition into it carries. ``succs[q]`` is
+    the sorted tuple of the states that ``q`` moves to; states with equal
+    successor sets share one tuple, as ``_glushkov`` returns them.
     """
 
-    def __init__(self, labels, finals, arcs):
+    def __init__(self, labels, finals, succs):
         self.states = range(len(labels) + 1)
         self.finals = frozenset(finals)
         self.labels = labels
-        self.transitions = tuple((src, labels[dst - 1], dst) for src, dst in arcs)
+        self.succs = succs
+
+    @property
+    def transitions(self):
+        """The (src, label, dst) tuples sorted by (src, dst), which is unique.
+
+        Built from ``succs`` on each read and not kept, since the engines
+        read the per-state rows instead.
+        """
+        labels = self.labels
+        return tuple((src, labels[dst - 1], dst) for src, succ in enumerate(self.succs) for dst in succ)
 
 
 class RegisterNfa(PositionAutomaton):
@@ -85,27 +98,41 @@ class RegisterNfa(PositionAutomaton):
     true) and ``store`` a variable or None. ``index[state]`` maps each letter
     to the entries (guard, store, dst) of the moves out of ``state`` on it,
     in transition order, which ``moves`` returns. All arcs into a position
-    share its one entry.
+    share its one entry, and states with equal successor sets share one
+    row: an entry depends only on its destination.
 
     Registers are a tuple of ``width`` slots, and ``slot`` maps each
     variable to its slot. The free variables ``free`` take the first slots
     in sorted order, then each binder nesting depth takes one slot, shared
     by the binders at that depth (see ``register_nfa``). ``search_index``
     and ``mask_index`` are ``index`` in the forms the two configuration
-    searches run, built on first use; see there for where registers are
-    cleared.
+    searches run, built on first use with their rows shared the same way;
+    see there for where registers are cleared.
     """
 
-    def __init__(self, labels, finals, arcs, free, slot):
-        super().__init__(labels, finals, arcs)
+    def __init__(self, labels, finals, succs, free, slot):
+        super().__init__(labels, finals, succs)
         self.free = free
         self.slot = slot
         self.width = max(slot.values(), default=-1) + 1
         entries = [(guard, store, dst) for dst, (_, guard, store) in enumerate(labels, start=1)]
-        index = [{} for _ in self.states]
-        for src, dst in arcs:
-            index[src].setdefault(labels[dst - 1][0], []).append(entries[dst - 1])
-        self.index = index
+        self.index = self._rows([None, *entries])
+
+    def _rows(self, entry):
+        """Per state, the row ``{letter: (entry[dst] for each successor dst)}``;
+        states with equal successor tuples get one shared row."""
+        labels = self.labels
+        rows = {}
+        out = []
+        for succ in self.succs:
+            row = rows.get(succ)
+            if row is None:
+                moves = {}
+                for dst in succ:
+                    moves.setdefault(labels[dst - 1][0], []).append(entry[dst])
+                row = rows[succ] = {letter: tuple(ms) for letter, ms in moves.items()}
+            out.append(row)
+        return out
 
     def moves(self, state, letter):
         return self.index[state].get(letter, ())
@@ -138,8 +165,9 @@ class RegisterNfa(PositionAutomaton):
             if store is not None:
                 stores[q] = 1 << self.slot[store]
         preds = [[] for _ in range(n)]
-        for src, _label, dst in self.transitions:
-            preds[dst].append(src)
+        for src, succ in enumerate(self.succs):
+            for dst in succ:
+                preds[dst].append(src)
         live = [0] * n
         todo = [q for q in range(n) if reads[q]]
         while todo:
@@ -155,7 +183,7 @@ class RegisterNfa(PositionAutomaton):
             entering = stores[q]
             for p in preds[q]:
                 entering |= live[p]
-            clear.append(entering & ~live[q] & binders if self.index[q] else 0)
+            clear.append(entering & ~live[q] & binders if self.succs[q] else 0)
         return live, clear
 
     @cached_property
@@ -192,7 +220,7 @@ class RegisterNfa(PositionAutomaton):
             else:
                 splice = itemgetter(*plan)
             made.append((dst, test, splice))
-        return [{letter: [made[m[2]] for m in ms] for letter, ms in out.items()} for out in self.index]
+        return self._rows(made)
 
 
 def _require_well_named(e):
@@ -210,9 +238,14 @@ def _glushkov(e, leaf, head=None):
     to look inside it. A binder looked inside reads its head letter as one
     position labelled ``head(node)``, then its body. Positions are numbered
     left to right; state 0 is initial and position ``i`` is state ``i + 1``.
-    Returns the list of position labels, the final states, and the list of
-    transitions as (src, dst) pairs, each once and in sorted order; the
-    label of a transition is that of its destination.
+    Returns the list of position labels, the final states, and per state
+    the sorted tuple of its successor states, one tuple object per distinct
+    successor set; the label of a transition is that of its destination.
+
+    The walk runs on an explicit stack, so it does not recurse however deep
+    ``e`` is. A node's first and last sets belong to it alone until its
+    parent merges them, so they are merged in place, the smaller into the
+    larger, which keeps long unions linear.
     """
     labels = []
     follow = []  # follow[p]: positions that may come right after position p
@@ -220,47 +253,62 @@ def _glushkov(e, leaf, head=None):
     def position(label):
         labels.append(label)
         follow.append(set())
-        return frozenset((len(labels) - 1,))
+        return len(labels) - 1
 
-    def go(node):
-        label = leaf(node)
-        if label is not None:
-            p = position(label)
-            return False, p, p
-        if isinstance(node, E.Eps):
-            return True, frozenset(), frozenset()
-        if isinstance(node, E.Union):
-            n1, f1, l1 = go(node.left)
-            n2, f2, l2 = go(node.right)
-            return n1 or n2, f1 | f2, l1 | l2
-        if isinstance(node, E.Concat):
-            n1, f1, l1 = go(node.left)
-            n2, f2, l2 = go(node.right)
-            for p in l1:
-                follow[p] |= f2
-            return n1 and n2, f1 | f2 if n1 else f1, l2 | l1 if n2 else l2
+    done = []  # (nullable, first, last) of the finished nodes, innermost last
+    stack = [(e, None)]  # (node, None) to open it; (node, head position or -1) to close it
+    while stack:
+        node, h = stack.pop()
+        if h is None:
+            label = leaf(node)
+            if label is not None:
+                p = position(label)
+                done.append((False, {p}, {p}))
+            elif isinstance(node, E.Eps):
+                done.append((True, set(), set()))
+            elif isinstance(node, (E.Union, E.Concat)):
+                stack += [(node, -1), (node.right, None), (node.left, None)]
+            elif isinstance(node, E.Star):
+                stack += [(node, -1), (node.body, None)]
+            elif isinstance(node, E.Bind) and head is not None:
+                stack += [(node, position(head(node))), (node.body, None)]
+            else:
+                raise AssertionError(f"{type(node).__name__} node outside the positions of this view")
+            continue
+        n2, f2, l2 = done.pop()
         if isinstance(node, E.Star):
-            n1, f1, l1 = go(node.body)
-            for p in l1:
-                follow[p] |= f1
-            return True, f1, l1
-        if isinstance(node, E.Bind) and head is not None:
-            h = position(head(node))
-            n1, f1, l1 = go(node.body)
-            for p in h:
-                follow[p] |= f1
-            return False, h, l1 | h if n1 else l1
-        raise AssertionError(f"{type(node).__name__} node outside the positions of this view")
+            for p in l2:
+                follow[p] |= f2
+            done.append((True, f2, l2))
+        elif isinstance(node, E.Bind):
+            follow[h] |= f2
+            if n2:
+                l2.add(h)
+            done.append((False, {h}, l2))
+        else:
+            n1, f1, l1 = done.pop()
+            if isinstance(node, E.Union):
+                done.append((n1 or n2, _merge(f1, f2), _merge(l1, l2)))
+            else:
+                for p in l1:
+                    follow[p] |= f2
+                done.append((n1 and n2, _merge(f1, f2) if n1 else f1, _merge(l2, l1) if n2 else l2))
 
-    nullable, first, last = go(e)
+    nullable, first, last = done.pop()
     finals = {p + 1 for p in last}
     if nullable:
         finals.add(0)
+    rows = {}
+    succs = [tuple(sorted(q + 1 for q in s)) for s in [first, *follow]]
+    return labels, finals, [rows.setdefault(row, row) for row in succs]
 
-    arcs = [(0, q + 1) for q in sorted(first)]
-    for p, succs in enumerate(follow, start=1):
-        arcs.extend((p, q + 1) for q in sorted(succs))
-    return labels, finals, arcs
+
+def _merge(a, b):
+    """The union of two sets that nothing else holds, built in the larger one."""
+    if len(a) < len(b):
+        a, b = b, a
+    a |= b
+    return a
 
 
 def register_nfa(e: E.Rewb) -> RegisterNfa:
@@ -291,8 +339,8 @@ def register_nfa(e: E.Rewb) -> RegisterNfa:
             slot[node.var] = depth
             depth += 1
         stack += [(child, depth) for child in E.children(node) if child.bound]
-    labels, finals, arcs = _glushkov(e, leaf, lambda node: (node.letter, None, node.var))
-    return RegisterNfa(labels, finals, arcs, free, slot)
+    labels, finals, succs = _glushkov(e, leaf, lambda node: (node.letter, None, node.var))
+    return RegisterNfa(labels, finals, succs, free, slot)
 
 
 def hier_automaton(e: E.Rewb) -> PositionAutomaton:

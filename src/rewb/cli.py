@@ -221,8 +221,30 @@ def _write_gadget(args, out: GadgetOutput):
     return 0
 
 
+# Each gadget option's default, and the options that each kind reads. The
+# parser leaves every option None unless given, so one given to a kind that
+# does not read it is rejected, whatever its value.
+_GADGET_DEFAULTS = {"formula": "", "atoms": "", "k": 0, "blocks": "", "pairs": "", "seq": "", "i": 1,
+                    "allow_nonsolution": False, "out_graph": "", "out_expr": ""}
+_GADGET_FILES = ("out_graph", "out_expr")
+_GADGET_READS = {
+    "formula": ("formula", "atoms", "k", *_GADGET_FILES),
+    "sat": ("formula", "atoms", *_GADGET_FILES),
+    "exists": ("formula", "atoms", "k", *_GADGET_FILES),
+    "forall": ("formula", "atoms", "k", *_GADGET_FILES),
+    "wqsat": ("formula", "blocks", *_GADGET_FILES),
+    "pcp-delta": ("pairs", "i", "out_expr"),
+    "pcp-encode": ("pairs", "seq", "i", "allow_nonsolution"),
+}
+
+
 def _cmd_gadget(args):
     kind = args.kind
+    for dest, default in _GADGET_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        else:
+            _reject(dest not in _GADGET_READS[kind], "--" + dest.replace("_", "-"), f"gadget {kind}")
     if kind == "pcp-encode":
         inst = _pairs_arg(args.pairs)
         word = pcp_encode(inst, _seq_arg(args.seq), args.i, args.allow_nonsolution)
@@ -319,16 +341,16 @@ def _build_parser():
     p = sub.add_parser("gadget", help="reduction gadget builders")
     p.add_argument("kind", choices=(
         "formula", "sat", "exists", "forall", "wqsat", "pcp-delta", "pcp-encode"))
-    p.add_argument("--formula", default="")
-    p.add_argument("--atoms", default="")
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--blocks", default="")
-    p.add_argument("--pairs", default="")
-    p.add_argument("--seq", default="")
-    p.add_argument("--i", type=int, default=1)
-    p.add_argument("--allow-nonsolution", action="store_true")
-    p.add_argument("--out-graph", default="")
-    p.add_argument("--out-expr", default="")
+    p.add_argument("--formula")
+    p.add_argument("--atoms")
+    p.add_argument("--k", type=int)
+    p.add_argument("--blocks")
+    p.add_argument("--pairs")
+    p.add_argument("--seq")
+    p.add_argument("--i", type=int)
+    p.add_argument("--allow-nonsolution", action="store_true", default=None)
+    p.add_argument("--out-graph")
+    p.add_argument("--out-expr")
     p.set_defaults(func=_cmd_gadget)
 
     p = sub.add_parser("selftest", help="randomized three-engine agreement")

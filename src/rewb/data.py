@@ -44,8 +44,11 @@ class DataGraph:
     @cached_property
     def _adjacency(self):
         adj = {n: [] for n in self.nodes}
-        for edge in sorted(self.edges):
+        for edge in self.edges:
             adj[edge[0]].append(edge)
+        for out in adj.values():
+            if len(out) > 1:
+                out.sort()
         return adj
 
     @cached_property

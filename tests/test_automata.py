@@ -1,11 +1,14 @@
 """Automaton compilation: position construction at both views."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
 import rewb.expr as E
 from rewb.automata import (
+    PositionAutomaton,
     Read,
     SubExpr,
     automaton_size,
@@ -14,9 +17,10 @@ from rewb.automata import (
     register_nfa,
 )
 from rewb.errors import ValidationError
-from rewb.evaluate import member
-from rewb.gadgets import eval_expr
-from rewb.pcp import PcpInstance, pcp_delta
+from rewb.data import graph
+from rewb.evaluate import _compiled, connected, eval_flat, member, member_any
+from rewb.gadgets import eval_expr, parse_nnf, sat_reduction
+from rewb.pcp import PcpInstance, pcp_delta, pcp_encode
 from rewb.randgen import random_expr, random_valuation, random_word
 from rewb.syntax import parse_expr, print_cond
 
@@ -154,6 +158,9 @@ def test_register_nfa_index_matches_the_full_sort_key():
         for (src, letter), moves in full.items():
             assert [m[:3] for m in nfa.moves(src, letter)] == moves
         assert sum(map(len, full.values())) == len(nfa.transitions)
+        rebuilt = sorted(((src, nfa.labels[m[2] - 1], m[2]) for src, row in enumerate(nfa.index)
+                          for ms in row.values() for m in ms), key=lambda t: (t[0], t[2]))
+        assert nfa.transitions == tuple(rebuilt)
 
 def test_register_nfa_examples():
     e = parse_expr("a@x(b[x=]*)")
@@ -245,3 +252,81 @@ def test_liveness_agrees_with_a_search_for_the_next_read():
                             seen.add(q2)
                             todo.append(q2)
                 assert bool(live[q] >> i & 1) == found
+
+
+def test_states_share_a_row_exactly_when_their_successor_sets_are_equal():
+    rng = random.Random(103)
+    shared = 0
+    for _ in range(300):
+        e = E.alpha_rename(random_expr(rng, 12, ("a", "b", "c"), ("x", "y", "z"), max_e_level=3))
+        nfa = register_nfa(e)
+        distinct = set(nfa.succs)
+        assert len({id(succ) for succ in nfa.succs}) == len(distinct)
+        for rows in (nfa.index, nfa.search_index, nfa.mask_index):
+            # one row per successor tuple and one successor tuple per row
+            assert len({(succ, id(row)) for succ, row in zip(nfa.succs, rows)}) == len(distinct)
+            assert len({id(row) for row in rows}) == len(distinct)
+        shared += len(distinct) < len(nfa.states)
+    assert shared > 100
+
+
+_PCP = PcpInstance((("a", "ab"), ("bb", "b")))
+
+
+def test_a_pcp_delta_stores_few_distinct_rows():
+    nfa = register_nfa(pcp_delta(_PCP, 1))
+    assert len(nfa.states) == 5323
+    assert len({id(row) for row in nfa.index}) <= 1600
+
+
+def test_a_compiled_delta_is_searched_without_its_transition_tuples(monkeypatch):
+    def unbuilt(_aut):
+        raise AssertionError("the per-arc transition tuples were built")
+
+    delta = pcp_delta(_PCP, 1)
+    g = graph([("u", "dollar1", "h1", "v"), ("v", "a", "1", "w"), ("w", "hash", "d1", "u")])
+    monkeypatch.setattr(PositionAutomaton, "transitions", property(unbuilt))
+    _compiled.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert not member_any(delta, pcp_encode(_PCP, (1, 2), 1))
+        eval_flat(delta, g)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the cached register NFA with its index and search index
+    assert held < 4_000_000, held
+    assert connected(delta, g, {}, "u", "v")
+
+
+@pytest.mark.parametrize("op", [".", "+"])
+def test_ten_thousand_letter_chains_compile_at_the_default_recursion_limit(op):
+    letters = [f"l{j}" for j in range(10_000)]
+    e = parse_expr(op.join(letters))
+    assert e.well_named
+    nfa, aut = register_nfa(e), hier_automaton(e)
+    assert [label[0] for label in nfa.labels] == letters  # numbered left to right
+    assert aut.labels == [Read(letter) for letter in letters]
+    assert aut.succs == nfa.succs
+    if op == ".":
+        assert nfa.succs == [(q + 1,) for q in range(10_000)] + [()]
+        word = tuple((letter, "1") for letter in letters)
+        assert member(e, word) and not member(e, word[:-1])
+    else:
+        assert nfa.succs == [tuple(range(1, 10_001))] + [()] * 10_000
+        assert member(e, (("l5000", "1"),)) and not member(e, (("l5000", "1"), ("l1", "1")))
+
+
+def test_register_nfa_compiles_the_2000_atom_sat_gadget():
+    atoms = [f"p{j}" for j in range(1, 2001)]
+    e = sat_reduction(parse_nnf("p1 & !p2000"), atoms).expr
+    positions, stack = 0, [e]
+    while stack:
+        node = stack.pop()
+        positions += isinstance(node, (E.Atom, E.Test, E.Bind))
+        stack += E.children(node)
+    nfa = register_nfa(e)
+    assert len(nfa.states) == positions + 1

@@ -338,6 +338,57 @@ def test_gadget_reports_where_a_formula_error_is():
     assert (code, out, err) == (1, "", "error: 1:12: unexpected token ')'\n")
 
 
+# A value that each gadget option accepts (None for the flag, and the file
+# options get a path in the test's directory), and the options each kind reads.
+_GADGET_VALUES = {"--formula": "p1 | p2", "--atoms": "p1,p2", "--k": "1", "--blocks": "E1:p1;A1:p2",
+                  "--pairs": "a/ab,bb/b", "--seq": "1", "--i": "2", "--allow-nonsolution": None,
+                  "--out-graph": "g.graph", "--out-expr": "e.expr"}
+_GADGET_READS = {
+    "formula": ("--formula", "--atoms", "--k", "--out-graph", "--out-expr"),
+    "sat": ("--formula", "--atoms", "--out-graph", "--out-expr"),
+    "exists": ("--formula", "--atoms", "--k", "--out-graph", "--out-expr"),
+    "forall": ("--formula", "--atoms", "--k", "--out-graph", "--out-expr"),
+    "wqsat": ("--blocks", "--formula", "--out-graph", "--out-expr"),
+    "pcp-delta": ("--pairs", "--i", "--out-expr"),
+    "pcp-encode": ("--pairs", "--seq", "--i", "--allow-nonsolution"),
+}
+
+
+def _gadget_argv(kind, options, tmp_path):
+    argv = ["gadget", kind]
+    for option in options:
+        value = _GADGET_VALUES[option]
+        if option.startswith("--out-"):
+            value = str(tmp_path / value)
+        argv += [option] if value is None else [option, value]
+    return argv
+
+
+@pytest.mark.parametrize("kind", sorted(_GADGET_READS))
+def test_gadget_kinds_take_every_option_they_read(tmp_path, kind):
+    code, out, err = run(_gadget_argv(kind, _GADGET_READS[kind], tmp_path))
+    assert code == 0 and out and err == ""
+    written = {_GADGET_VALUES[option] for option in _GADGET_READS[kind] if option.startswith("--out-")}
+    assert {path.name for path in tmp_path.iterdir()} == written
+
+
+@pytest.mark.parametrize("kind, option", [
+    (kind, option) for kind in sorted(_GADGET_READS) for option in _GADGET_VALUES if option not in _GADGET_READS[kind]
+])
+def test_gadget_kinds_reject_an_option_they_do_not_read(tmp_path, kind, option):
+    argv = _gadget_argv(kind, (*_GADGET_READS[kind], option), tmp_path)
+    assert run(argv) == (1, "", f"error: {option} cannot be used with gadget {kind}\n")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["sat", "--formula", "p1", "--atoms", "p1", "--k", "7", "--blocks", "E1:zz", "--pairs", "a/b"], "--k"),
+    (["wqsat", "--formula", "p1", "--blocks", "E1:p1", "--atoms", "q1,q2", "--k", "3"], "--atoms"),
+])
+def test_gadget_rejects_the_first_option_its_kind_does_not_read(argv, option):
+    assert run(["gadget"] + argv) == (1, "", f"error: {option} cannot be used with gadget {argv[0]}\n")
+
+
 def test_eval_any_lists_the_pairs_of_eval_any(tmp_path):
     rng = random.Random(53)
     listings = set()

@@ -1,8 +1,11 @@
 """Evaluation engines: membership, reachability, agreement, witnesses."""
 
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -437,6 +440,25 @@ def test_a_graph_builds_its_adjacency_once():
     fresh = graph(edges, source="u")
     assert fresh == g and hash(fresh) == hash(g)
     assert fresh.out_edges() == adj and fresh.out_edges() is not adj
+
+
+def test_adjacency_lists_equal_the_grouped_global_sort_under_two_hash_seeds():
+    # the edges are grouped in set order, which the hash seed changes, and
+    # only each node's list is sorted
+    script = (
+        "import random\n"
+        "from rewb.randgen import random_graph\n"
+        "rng = random.Random(61)\n"
+        "for _ in range(400):\n"
+        "    g = random_graph(rng, 8, 40, ('a', 'b', 'c'), ('1', '2', '3'))\n"
+        "    want = {n: [] for n in g.nodes}\n"
+        "    for edge in sorted(g.edges):\n"
+        "        want[edge[0]].append(edge)\n"
+        "    assert g.out_edges() == want\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for seed in ("0", "1"):
+        subprocess.run([sys.executable, "-c", script], check=True, env={**env, "PYTHONHASHSEED": seed})
 
 
 def test_one_graph_asked_every_pair_in_any_order_answers_as_fresh_copies_do():
