@@ -206,19 +206,24 @@ class RegisterNfa(PositionAutomaton):
         return self._compiled_index(E.compile_mask)
 
     def _compiled_index(self, compile_guard):
+        """The entries (dst, compiled guard, splice); the positions with one
+        slot plan share one splice."""
         width = self.width
         _live, clear = self.liveness
+        splices = {}
         made = [None]
         for dst, (_letter, guard, store) in enumerate(self.labels, start=1):
             test = guard and compile_guard(guard, self.slot)
-            stored = self.slot.get(store)
-            plan = [width + 1 if clear[dst] >> i & 1 else width if i == stored else i for i in range(width)]
-            if store is None and not clear[dst]:
-                splice = None
-            elif width == 1:
-                splice = itemgetter(slice(plan[0], plan[0] + 1))
-            else:
-                splice = itemgetter(*plan)
+            splice = None
+            if store is not None or clear[dst]:
+                stored = self.slot.get(store)
+                plan = tuple(width + 1 if clear[dst] >> i & 1 else width if i == stored else i
+                             for i in range(width))
+                splice = splices.get(plan)
+                if splice is None:
+                    # itemgetter of one index returns the item, not a tuple
+                    items = (slice(plan[0], plan[0] + 1),) if width == 1 else plan
+                    splice = splices[plan] = itemgetter(*items)
             made.append((dst, test, splice))
         return self._rows(made)
 

@@ -21,16 +21,17 @@ other:
     ``eval_flat`` (and through it ``eval_any``) and the stratified
     engine's binding-free blocks, whose searches meet few tuples per
     (node, state): on the 22 ``eval_flat`` calls of the ``rpq`` benchmark
-    (seed 7, each call's best of 15, summed, on a 2-CPU shared host) the
-    layered kernel below took 35-36 ms against its 27-29.
+    (seed 7, each call's best of 15, summed, on a 2-CPU shared host with
+    Python 3.11) the layered kernel below took 29 ms against its 19-20.
   - ``_layered``, breadth-first in strict layers over (node, state)
     entries, each carrying the set of tuples that reach it as an int
     bitset, in the bit-parallel manner of Baeza-Yates and Gonnet applied
     to the register dimension. A guard is one call of a generated set
-    function on all of an entry's new tuples. On the reduction gadgets a
-    (node, state) is met with up to hundreds of tuples: on the 28
+    function on all of an entry's new tuples, over per-slot value buckets
+    that index a tuple only when a guard first tests it. On the reduction
+    gadgets a (node, state) is met with up to hundreds of tuples: on the 28
     SAT/WQSAT gadgets of the ``decide`` benchmark, timed alike,
-    ``connected`` took 15-17 ms against ``_search``'s 35-38.
+    ``connected`` took 7.7 ms against ``_search``'s 27.
     It serves ``connected`` and ``witness_path`` through one search per
     source: a generator that records every entry's parents and yields
     each node the first time it is reached in a final state. A graph keeps
@@ -346,20 +347,24 @@ def _layered(nfa, adj, val, start, parents):
 
     Starts like ``_search`` and yields the same nodes, each the first time
     it is reached in a final state; a caller resumes it only as far as it
-    needs. The search runs in strict layers: a layer merges every tuple
-    that reaches an entry in it before the next layer expands that entry,
-    so each (node, state, tuple) is reached first after its fewest edges. A
-    move's guard is one call of its ``mask_index`` set function on all new
-    tuples of the entry (``buckets`` holds, per slot, the bitset of the
-    tuples of each value); a splice maps the tuples it keeps one by one
-    through the numbering. Every entry that gains tuples appends a record
-    (entry, new tuples, parent entry, edge, origin) to the list ``parents``,
-    where ``origin`` maps each new tuple number to the one it was spliced
-    from, or is None when the move keeps the tuples. When a node is
-    yielded, the last record holds the final entry that reached it, and
-    none does for ``start`` in the initial state. Which layer reaches an
-    entry does not depend on how far the caller resumes, so neither do the
-    records.
+    needs. The search runs in strict layers: a layer merges every tuple that
+    reaches an entry in it before the next layer expands that entry, so each
+    (node, state, tuple) is reached first after its fewest edges. A move's
+    guard is one call of its ``mask_index`` set function on all new tuples
+    of the entry; a splice maps the tuples it keeps one by one through the
+    numbering. ``buckets`` holds, per slot, the bitset of the indexed tuples
+    of each value, and ``synced`` the indexed tuples. A tuple is indexed
+    only just before a mask first runs on a set holding it, lowest number
+    first, so the many tuples that a splice makes and no guard ever tests
+    are never indexed. A mask reads the buckets only within its set, so it
+    answers as it would on fully indexed buckets, and raises where it would.
+    Every entry that gains tuples appends a record (entry, new tuples,
+    parent entry, edge, origin) to the list ``parents``, where ``origin``
+    maps each new tuple number to the one it was spliced from, or is None
+    when the move keeps the tuples. When a node is yielded, the last record
+    holds the final entry that reached it, and none does for ``start`` in
+    the initial state. Which layer reaches an entry does not depend on how
+    far the caller resumes, so neither do the records.
     """
     finals = nfa.finals
     index = nfa.mask_index
@@ -368,6 +373,7 @@ def _layered(nfa, adj, val, start, parents):
     tuples = [regs]
     number = {regs: 0}
     buckets = [{value: 1} for value in regs]
+    synced = 1
     hits = set()
     if 0 in finals:
         hits.add(start)
@@ -379,15 +385,25 @@ def _layered(nfa, adj, val, start, parents):
         for key, bits in layer.items():
             node, q = key
             out = index[q]
+            fresh = bits & ~synced
             for edge in adj[node]:
                 entries = out.get(edge[1])
                 if entries is None:
                     continue
                 d, dst = edge[2], edge[3]
                 for q2, mask, splice in entries:
-                    kept = bits if mask is None else mask(d, buckets, bits)
-                    if not kept:
-                        continue
+                    kept = bits
+                    if mask is not None:
+                        if fresh:  # index the tuples no mask has read yet
+                            synced |= fresh
+                            while fresh:
+                                low = fresh & -fresh
+                                fresh ^= low
+                                for bucket, value in zip(buckets, tuples[low.bit_length() - 1]):
+                                    bucket[value] = bucket.get(value, 0) | low
+                        kept = mask(d, buckets, bits)
+                        if not kept:
+                            continue
                     origin = None
                     if splice is not None:
                         origin = {}
@@ -401,8 +417,6 @@ def _layered(nfa, adj, val, start, parents):
                             if r2 is None:
                                 r2 = number[stored] = len(tuples)
                                 tuples.append(stored)
-                                for bucket, value in zip(buckets, stored):
-                                    bucket[value] = bucket.get(value, 0) | 1 << r2
                             moved |= 1 << r2
                             origin.setdefault(r2, r)
                         kept = moved

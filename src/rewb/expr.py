@@ -202,7 +202,10 @@ def compile_mask(c: Condition, slot: dict):
 
     ``S`` is a set of tuple numbers as an int bitset, and ``B[s]`` maps each
     value, UNSET included, to the bitset of the tuples holding it in slot
-    ``s``. The mask is the subset of ``S`` whose tuples pass ``compile_cond``'s
+    ``s`` among the indexed tuples, which must include every tuple of ``S``
+    and may include others: the mask reads ``B`` only within ``S``, so the
+    tuples indexed beyond ``S`` change nothing. The mask is the subset of
+    ``S`` whose tuples pass ``compile_cond``'s
     test against ``d``, and it raises UndefinedVariableError exactly when
     that test raises on some tuple of ``S``. The short cuts carry over as
     sets: the right side of an And sees only the tuples its left side kept,

@@ -279,6 +279,20 @@ def test_a_pcp_delta_stores_few_distinct_rows():
     assert len({id(row) for row in nfa.index}) <= 1600
 
 
+@pytest.mark.parametrize("i", [1, 2])
+def test_a_compiled_delta_makes_one_splice_per_slot_plan(i):
+    nfa = register_nfa(pcp_delta(_PCP, i))
+    _live, clear = nfa.liveness
+    # a splice stores into the store's slot and empties the cleared slots
+    plans = {(clear[dst], nfa.slot.get(store))
+             for dst, (_letter, _guard, store) in enumerate(nfa.labels, start=1)
+             if store is not None or clear[dst]}
+    for index in (nfa.search_index, nfa.mask_index):
+        splices = {id(splice) for row in index for entries in row.values()
+                   for _dst, _test, splice in entries if splice is not None}
+        assert 1 < len(splices) <= len(plans) <= 10
+
+
 def test_a_compiled_delta_is_searched_without_its_transition_tuples(monkeypatch):
     def unbuilt(_aut):
         raise AssertionError("the per-arc transition tuples were built")

@@ -422,6 +422,47 @@ def test_sat_gadget_witnesses_are_shortest_and_accepted():
     assert satisfiable >= 3
 
 
+@pytest.mark.parametrize("text, truth", [
+    ("(p1 | !p2 | p3) & (!p1 | p4) & (p5 | !p6) & (p2 | p6) & !p3", True),
+    ("(p1 | p6) & (!p1 | p6) & (p2 | !p6) & (!p2 | !p6)", False),
+])
+def test_layered_search_indexes_only_the_tuples_its_guards_test(monkeypatch, text, truth):
+    names = [f"p{j}" for j in range(1, 7)]
+    out = sat_reduction(parse_nnf(text), names)
+    g = out.graph
+    nfa = _compiled(out.expr)
+    tested = [0]  # the union of the tuple sets that masks have run on
+
+    def recording(mask):
+        def recorded(d, buckets, bits):
+            tested[0] |= bits
+            indexed = 0
+            for bucket in buckets:
+                for held in bucket.values():
+                    indexed |= held
+            assert not indexed & ~(tested[0] | 1)
+            return mask(d, buckets, bits)
+
+        return recorded
+
+    rows = [{letter: tuple((q2, mask and recording(mask), splice) for q2, mask, splice in entries)
+             for letter, entries in row.items()}
+            for row in nfa.mask_index]
+    monkeypatch.setitem(vars(nfa), "mask_index", rows)
+    assert connected(out.expr, g, {}, g.source, g.sink) == truth
+    assert tested[0].bit_count() > 1
+    assert ((g.source, g.sink) in eval_flat(out.expr, g)) == truth
+    path = witness_path(out.expr, g, {}, g.source, g.sink)
+    assert (path is not None) == truth
+    if truth:
+        at = g.source
+        for edge in path:
+            assert edge in g.edges and edge[0] == at
+            at = edge[3]
+        assert at == g.sink
+        assert member(out.expr, tuple((letter, value) for _, letter, value, _ in path), {})
+
+
 def test_a_graph_builds_its_adjacency_once():
     edges = [("u", "a", "1", "v"), ("v", "b", "2", "u"), ("u", "b", "2", "w")]
     g = graph(edges, source="u")
