@@ -18,11 +18,11 @@ other:
 
   - ``_search``, depth-first over (node, state, tuple number), testing
     each guard with one call of its generated test. It serves
-    ``eval_flat`` (and through it ``eval_any``) and the stratified
-    engine's binding-free blocks, whose searches meet few tuples per
-    (node, state): on the 22 ``eval_flat`` calls of the ``rpq`` benchmark
-    (seed 7, each call's best of 15, summed, on a 2-CPU shared host with
-    Python 3.11) the layered kernel below took 29 ms against its 19-20.
+    ``eval_flat`` (and through it ``eval_any``), whose searches meet few
+    tuples per (node, state): on the 22 ``eval_flat`` calls of the
+    ``rpq`` benchmark (seed 7, each call's best of 15, summed, on a 2-CPU
+    shared host with Python 3.11) the layered kernel below took 29 ms
+    against its 19-20.
   - ``_layered``, breadth-first in strict layers over (node, state)
     entries, each carrying the set of tuples that reach it as an int
     bitset, in the bit-parallel manner of Baeza-Yates and Gonnet applied
@@ -48,17 +48,27 @@ other:
   over dict valuations that keep every binding, the reference for the
   compiled forms.
 
-* ``eval_stratified``: the per-level scheme. It computes the row of the
-  query at each source node: the nodes that a path from it in the
-  language reaches. A binding-free block's row is one search as above,
-  with guards reading only the block's valuation. Any other block walks
-  its hierarchical automaton from the source, binding the edge's value at
-  a BindRead and following the row of a lower block from the current node
-  at a SubExpr; F-shaped automata have no BindRead, so one walk serves
-  both shapes. A block is thus evaluated only from the nodes a walk
-  reaches. Rows are memoized per (block, valuation restricted to its free
-  variables, source), and the walk keeps dict valuations, so it checks the
-  flat engine's register tuples independently.
+* ``eval_stratified``: the per-level scheme, on kernels of its own. It
+  numbers the graph's nodes once per call and computes the row of the
+  query at each source node: the bitset of the nodes that a path from it
+  in the language reaches. A binding-free block's row is a depth-first
+  search over (node, state) of its hierarchical automaton's Read moves,
+  with no registers; its guards are interpreted by ``satisfies`` under the
+  block's valuation, and their answers are kept per (block, valuation)
+  by (guard, value). Any other block walks its hierarchical automaton
+  from the source over (node, state, value tuple), the tuple holding the
+  block's free variables in sorted order and then the variables its
+  BindReads bind: a BindRead puts the edge's value in its slot, and a
+  SubExpr ORs the row of a lower block at the current node into the
+  node bitset of its (state, tuple) entry and goes on from the new nodes
+  only. F-shaped automata have no BindRead, so one walk serves both
+  shapes. A block is thus evaluated only from the nodes a walk reaches.
+  Rows are memoized per (block, values of its free variables, source).
+  The engine shares only the renaming with the flat engine: it builds no
+  register NFA, keeps every binding (no register is emptied where it
+  dies) and interprets guards instead of compiling them, so it checks the
+  flat engine's register tuples and compiled guards independently, on
+  binding-free inputs too.
 
 * ``eval_oracle``: bounded-length path search. Semantically this
   enumerates every data path up to ``max_len`` edges and keeps the pairs
@@ -71,11 +81,12 @@ other:
   prefix classes is capped by a configurable budget.
 
 Every entry point reads an expression's free variables from its node
-(``free``) and takes its register NFA from one cached compile step
-(``_compiled``), which builds the NFA from the position construction's
-transitions as they come. A tree that is not well-named is renamed first,
-by one cached step (``_renamed``) that returns a well-named tree as it is,
-so the stratified engine walks the renaming the compile step made; the
+(``free``), and all but ``eval_stratified`` take its register NFA from one
+cached compile step (``_compiled``), which builds the NFA from the
+position construction's transitions as they come. A tree that is not
+well-named is renamed first, by one cached step (``_renamed``) that
+returns a well-named tree as it is, so the stratified engine walks the
+renaming the compile step made; the
 witness, gadget and PCP generators build well-named trees, so theirs are
 never renamed. The register liveness and the compiled guards are made
 when a search first runs on an NFA, so ``member`` never pays for them.
@@ -93,9 +104,10 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import itemgetter
 
 from . import expr as E
-from .automata import BindRead, RegisterNfa, automaton_sizes, hier_automaton, register_nfa
+from .automata import BindRead, automaton_sizes, hier_automaton, register_nfa
 from .data import DataGraph, DataWord, fresh_value, word_values
 from .errors import BudgetError, CompatibilityError, ValidationError
 
@@ -443,71 +455,147 @@ def eval_stratified(e: E.Rewb, g: DataGraph, val=None) -> set:
     val = dict(val or {})
     _check_covers(e.free, val)
     renamed = _renamed(e)
-    adj = g.out_edges()
-    val = {v: val[v] for v in e.free}
-    memo = {}
-    return {(u, v) for u in g.nodes for v in _strat(renamed, adj, val, u, memo)}
+    nodes = sorted(g.nodes)
+    number = {node: i for i, node in enumerate(nodes)}
+    adj = [{} for _ in nodes]  # per node number: letter -> [(value, target number)]
+    for src, letter, d, dst in g.edges:
+        adj[number[src]].setdefault(letter, []).append((d, number[dst]))
+    top = tuple(val[v] for v in sorted(e.free))
+    memo, tests = {}, {}
+    pairs = set()
+    for u, source in enumerate(nodes):
+        row = _strat(renamed, top, u, adj, memo, tests)
+        while row:
+            low = row & -row
+            row ^= low
+            pairs.add((source, nodes[low.bit_length() - 1]))
+    return pairs
 
 
 @lru_cache(maxsize=256)
 def _plan(e):
-    """How ``_strat`` evaluates the renamed block ``e``.
+    """How ``_strat`` evaluates the renamed block ``e``: (free, width, rows, finals).
 
-    A binding-free block is searched with its register NFA. Any other block
-    is walked over its hierarchical automaton: the plan maps each state to
-    its moves (label, free, dst), where ``free`` lists the sorted free
-    variables of a SubExpr's block and is None for a BindRead.
+    ``free`` lists the block's free variables, sorted, and ``rows[q]`` the
+    moves out of state ``q`` of its hierarchical automaton. A binding-free
+    block has ``width`` None and rows of (letter, ((guard, dst), ...)), its
+    Read moves grouped by letter. Any other block is walked with a tuple of
+    ``width`` values in its own variable order: ``free``, then the
+    variables its BindReads bind. Its rows are (binds, subs): binds are
+    (letter, slot, dst), and subs are (block, pick, dst), where
+    ``pick(values)`` is the tuple of the SubExpr block's free values.
     """
-    if E.classify(e).f_level == 0:
-        return _compiled(e)
     aut = hier_automaton(e)
-    moves = {}
+    free = tuple(sorted(e.free))
+    if e.level.f_level == 0:
+        moves = [{} for _ in aut.states]
+        for src, label, dst in aut.transitions:
+            moves[src].setdefault(label.letter, []).append((label.cond, dst))
+        rows = [tuple((letter, tuple(ms)) for letter, ms in out.items()) for out in moves]
+        return free, None, rows, aut.finals
+    order = free + tuple(label.var for label in aut.labels if isinstance(label, BindRead))
+    slot = {var: i for i, var in enumerate(order)}
+    rows = [([], []) for _ in aut.states]
     for src, label, dst in aut.transitions:
-        free = None if isinstance(label, BindRead) else sorted(label.expr.free)
-        moves.setdefault(src, []).append((label, free, dst))
-    return moves, aut.finals
+        if isinstance(label, BindRead):
+            rows[src][0].append((label.letter, slot[label.var], dst))
+        else:
+            pos = [slot[var] for var in sorted(label.expr.free)]
+            if len(pos) < 2:  # a slice, since itemgetter of one index returns the item
+                pos = [slice(*pos, pos[0] + 1) if pos else slice(0)]
+            rows[src][1].append((label.expr, itemgetter(*pos), dst))
+    return free, len(order), rows, aut.finals
 
 
-def _strat(e, adj, val, u, memo):
-    """The row of ``e`` at ``u``: the nodes that a path from ``u`` in its
-    language reaches under ``val``, which holds exactly its free variables.
-    Memoized in ``memo`` per (block, valuation, source)."""
-    key = (e, _vkey(val), u)
+def _strat(e, t, u, adj, memo, tests):
+    """The row of block ``e`` at node number ``u``: the bitset of the node
+    numbers that a path from ``u`` in its language reaches, where ``t``
+    holds the values of its free variables in sorted order. Memoized in
+    ``memo`` per (block, values, source); ``tests`` keeps, per binding-free
+    (block, values), its valuation and the guards' answers by (guard, value).
+
+    A block with binders or SubExprs is walked here over (node, state,
+    value tuple), from ``t`` padded with one empty slot per binder: a
+    BindRead puts the edge's value in its variable's slot, and a SubExpr
+    ORs the lower block's row at the current node into the nodes of its
+    (state, tuple) entry and goes on from the new ones. The walk is inline,
+    so each level of nesting costs one frame of recursion.
+    """
+    key = (e, t, u)
     row = memo.get(key)
     if row is not None:
         return row
-    plan = _plan(e)
-    if isinstance(plan, RegisterNfa):
-        memo[key] = row = _search(plan, adj, val, u)
+    free, width, rows, finals = _plan(e)
+    if width is None:
+        cache = tests.get((e, t))
+        if cache is None:
+            cache = tests[(e, t)] = (dict(zip(free, t)), {})
+        row = memo[key] = _row_search(rows, finals, u, adj, *cache)
         return row
-    moves, finals = plan
-    row = {u} if 0 in finals else set()
-    key0 = (u, 0, key[1])
-    seen = {key0: val}
-    frontier = [key0]
-    while frontier:
-        nxt = []
-        for cfg in frontier:
-            node, q, vk = cfg
-            vcur = seen[cfg]
-            for label, free, q2 in moves.get(q, ()):
-                if free is None:
-                    steps = []
-                    for _, letter, d, dst in adj[node]:
-                        if letter == label.letter:
-                            v2 = {**vcur, label.var: d}
-                            steps.append(((dst, q2, _vkey(v2)), v2))
-                else:
-                    sub = {v: vcur[v] for v in free}
-                    steps = [((b, q2, vk), vcur) for b in _strat(label.expr, adj, sub, node, memo)]
-                for k2, v2 in steps:
-                    if k2 not in seen:
-                        seen[k2] = v2
-                        nxt.append(k2)
-                        if q2 in finals:
-                            row.add(k2[0])
-        frontier = nxt
+    t += (None,) * (width - len(t))
+    seen = {(0, t): 1 << u}  # (state, tuple) -> bitset of nodes reached with it
+    row = 1 << u if 0 in finals else 0
+    todo = [(u, 0, t)]
+    while todo:
+        node, q, t = todo.pop()
+        binds, subs = rows[q]
+        for letter, k, q2 in binds:
+            for d, dst in adj[node].get(letter, ()):
+                t2 = t[:k] + (d,) + t[k + 1:]
+                k2 = (q2, t2)
+                bit = 1 << dst
+                old = seen.get(k2, 0)
+                if not old & bit:
+                    seen[k2] = old | bit
+                    todo.append((dst, q2, t2))
+                    if q2 in finals:
+                        row |= bit
+        for block, pick, q2 in subs:
+            k2 = (q2, t)
+            old = seen.get(k2, 0)
+            new = _strat(block, pick(t), node, adj, memo, tests) & ~old
+            if new:
+                seen[k2] = old | new
+                if q2 in finals:
+                    row |= new
+                while new:
+                    low = new & -new
+                    new ^= low
+                    todo.append((low.bit_length() - 1, q2, t))
     memo[key] = row
+    return row
+
+
+def _row_search(rows, finals, u, adj, val, passed):
+    """Depth-first search of a binding-free block from node number ``u``
+    over (node, state), its Read guards interpreted by ``satisfies`` under
+    ``val`` and their answers kept in ``passed``; returns the bitset of the
+    nodes reached in a final state."""
+    seen = [0] * len(rows)  # per state, the bitset of nodes reached in it
+    seen[0] = 1 << u
+    todo = [(u, 0)]
+    while todo:
+        node, q = todo.pop()
+        out = adj[node]
+        for letter, moves in rows[q]:
+            edges = out.get(letter)
+            if edges is None:
+                continue
+            for guard, q2 in moves:
+                for d, dst in edges:
+                    if guard is not None:
+                        ok = passed.get((guard, d))
+                        if ok is None:
+                            ok = passed[guard, d] = E.satisfies(guard, d, val)
+                        if not ok:
+                            continue
+                    bit = 1 << dst
+                    if not seen[q2] & bit:
+                        seen[q2] |= bit
+                        todo.append((dst, q2))
+    row = 0
+    for q in finals:
+        row |= seen[q]
     return row
 
 

@@ -526,46 +526,49 @@ def alpha_rename(e: Rewb) -> Rewb:
     suffix ``_j`` appended to its original name (skipping any index that
     would collide with a free variable). Free occurrences are untouched,
     so membership is preserved for every compatible valuation.
+
+    One walk on an explicit stack renames the expression and the
+    conditions in it, so a tree of any depth takes no recursion: a node is
+    opened with the names in scope, its children are renamed left to
+    right, and it is rebuilt from them when it is closed.
     """
     free = e.free
     counter = 0
-
-    def fresh(base):
-        nonlocal counter
-        while True:
-            counter += 1
-            cand = f"{base}_{counter}"
-            if cand not in free:
-                return cand
-
-    def rename_cond(c, env):
-        if isinstance(c, Eq):
-            return Eq(env.get(c.var, c.var))
-        if isinstance(c, Neq):
-            return Neq(env.get(c.var, c.var))
-        if isinstance(c, Not):
-            return Not(rename_cond(c.body, env))
-        if isinstance(c, And):
-            return And(rename_cond(c.left, env), rename_cond(c.right, env))
-        return Or(rename_cond(c.left, env), rename_cond(c.right, env))
-
-    def walk(node, env):
-        if isinstance(node, Eps):
-            return node
-        if isinstance(node, Atom):
-            return node
-        if isinstance(node, Test):
-            return Test(node.letter, rename_cond(node.cond, env))
-        if isinstance(node, Union):
-            return Union(walk(node.left, env), walk(node.right, env))
-        if isinstance(node, Concat):
-            return Concat(walk(node.left, env), walk(node.right, env))
-        if isinstance(node, Star):
-            return Star(walk(node.body, env))
-        new = fresh(node.var)
-        return Bind(node.letter, new, walk(node.body, {**env, node.var: new}))
-
-    return walk(e, {})
+    done = []  # renamed subtrees, innermost last
+    # (node, names in scope, False) opens a node; (node, binder's new name or None, True) closes it
+    stack = [(e, {}, False)]
+    while stack:
+        node, env, close = stack.pop()
+        if close:
+            if isinstance(node, Bind):
+                done.append(Bind(node.letter, env, done.pop()))
+            elif isinstance(node, Test):
+                done.append(Test(node.letter, done.pop()))
+            elif isinstance(node, (Star, Not)):
+                done.append(type(node)(done.pop()))
+            else:
+                right = done.pop()
+                done.append(type(node)(done.pop(), right))
+        elif isinstance(node, (Eq, Neq)):
+            done.append(type(node)(env.get(node.var, node.var)))
+        elif isinstance(node, _Node) and not node.bound and env.keys().isdisjoint(node.free):
+            done.append(node)  # it binds nothing and reads no renamed name
+        elif isinstance(node, Bind):
+            while True:
+                counter += 1
+                new = f"{node.var}_{counter}"
+                if new not in free:
+                    break
+            stack += [(node, new, True), (node.body, {**env, node.var: new}, False)]
+        else:
+            stack.append((node, None, True))
+            if isinstance(node, Test):
+                stack.append((node.cond, env, False))
+            elif isinstance(node, (Star, Not)):
+                stack.append((node.body, env, False))
+            else:
+                stack += [(node.right, env, False), (node.left, env, False)]
+    return done.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -85,17 +85,18 @@ def test_stratified_blocks_are_searched_only_from_reached_sources(monkeypatch):
     import rewb.evaluate as ev
 
     starts = []
-    search = ev._search
-
-    def counting(nfa, adj, val, start, *args, **kwargs):
-        starts.append(start)
-        return search(nfa, adj, val, start, *args, **kwargs)
-
-    monkeypatch.setattr(ev, "_search", counting)
+    search = ev._row_search
     g = graph(
         [("u", "a", "1", "v"), ("v", "b", "1", "w"), ("v", "b", "2", "w2")],
         nodes=[f"i{k}" for k in range(10)],
     )
+    nodes = sorted(g.nodes)  # the engine's node numbering
+
+    def counting(rows, finals, start, *args):
+        starts.append(nodes[start])
+        return search(rows, finals, start, *args)
+
+    monkeypatch.setattr(ev, "_row_search", counting)
     assert len(g.nodes) == 14
     assert eval_stratified(parse_expr("a@x(b[x=])"), g, {}) == {("u", "w")}
     assert starts == ["v"]
@@ -119,6 +120,66 @@ def test_stratified_agrees_with_flat_on_three_letters_and_variables():
         if (level.f_level, level.e_level) in ((2, 3), (3, 3)):
             shapes.add("E-level 3")
     assert shapes == {"level-0", "E-shaped", "F-shaped", "E-level 3"}
+
+
+def test_stratified_answers_without_the_flat_engines_search_or_compile_step(monkeypatch):
+    # the stratified engine runs on kernels of its own, on binding-free
+    # inputs too, so it checks the flat engine with other code
+    import rewb.evaluate as ev
+
+    rng = random.Random(67)
+    cases = []
+    while len(cases) < 300:
+        e = random_expr(rng, 10, letters=("a", "b", "c"), variables=("x", "y", "z"), max_e_level=3)
+        if (E.classify(e).f_level == 0) != (len(cases) % 2 == 0):
+            continue
+        g = random_graph(rng, max_nodes=6, max_edges=14, letters=("a", "b", "c"))
+        val = random_valuation(rng, sorted(E.free_vars(e)), sorted(g.data_values()))
+        cases.append((e, g, val, eval_flat(e, g, val)))
+
+    def unavailable(*args):
+        raise AssertionError("the stratified engine used the flat engine's code")
+
+    monkeypatch.setattr(ev, "_search", unavailable)
+    monkeypatch.setattr(ev, "_compiled", unavailable)
+    for e, g, val, flat in cases:
+        assert eval_stratified(e, g, val) == flat, print_expr(e)
+    assert any(flat for *_, flat in cases[::2]) and any(flat for *_, flat in cases[1::2])
+
+
+def _chain(combine, n):
+    """``combine`` folded over n copies of a@x(b[x=]), the name x clashing n times."""
+    part = E.Bind("a", "x", E.Test("b", E.Eq("x")))
+    e = part
+    for _ in range(n - 1):
+        e = combine(part, e)
+    return e
+
+
+def _nested(n):
+    """a@x(a@x(...a@x(b[x=])....b[x=]).b[x=]), n binders deep."""
+    e = E.Bind("a", "x", E.Test("b", E.Eq("x")))
+    for _ in range(n - 1):
+        e = E.Bind("a", "x", E.Concat(e, E.Test("b", E.Eq("x"))))
+    return e
+
+
+@pytest.mark.parametrize("shape", ["nested", "union", "concat"])
+def test_thousand_clashing_binders_rename_and_evaluate_at_the_default_recursion_limit(shape):
+    # 1,000, not more: the per-node binder-name sets grow quadratically
+    assert sys.getrecursionlimit() <= 1000
+    if shape == "nested":
+        e = _nested(1000)
+        # a 1,000-long run of a:1 on the loop at u, then b:1 into v and on its loop
+        g = graph([("u", "a", "1", "u"), ("u", "b", "1", "v"), ("v", "b", "1", "v"), ("u", "b", "2", "w")])
+        expected = {("u", "v")}
+    else:
+        e = _chain(E.Union if shape == "union" else E.Concat, 1000)
+        g = graph([("u", "a", "1", "v"), ("v", "b", "1", "u"), ("v", "b", "2", "w")])
+        expected = {("u", "u")}
+    renamed = E.alpha_rename(e)
+    assert E.is_well_named(renamed) and len(renamed.bound) == 1000
+    assert eval_flat(e, g, {}) == eval_stratified(e, g, {}) == expected
 
 
 def test_eval_stratified_on_iterated_binding_cycle():
