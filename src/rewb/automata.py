@@ -68,10 +68,11 @@ class Read:
 class PositionAutomaton:
     """Position automaton over the positions of one view.
 
-    State 0 is initial; position ``i`` is state ``i + 1`` with label
-    ``labels[i]``, which every transition into it carries. ``succs[q]`` is
-    the sorted tuple of the states that ``q`` moves to; states with equal
-    successor sets share one tuple, as ``_glushkov`` returns them.
+    State 0 is initial; every other state ``q`` is a position, with label
+    ``labels[q - 1]``, which every transition into it carries.
+    ``succs[q]`` is the sorted tuple of the states that ``q`` moves to;
+    states with equal successor sets share one tuple, as ``_glushkov``
+    returns them.
     """
 
     def __init__(self, labels, finals, succs):
@@ -242,10 +243,11 @@ def _glushkov(e, leaf, head=None):
     ``leaf(node)`` returns the label of a node read as one position, or None
     to look inside it. A binder looked inside reads its head letter as one
     position labelled ``head(node)``, then its body. Positions are numbered
-    left to right; state 0 is initial and position ``i`` is state ``i + 1``.
-    Returns the list of position labels, the final states, and per state
-    the sorted tuple of its successor states, one tuple object per distinct
-    successor set; the label of a transition is that of its destination.
+    left to right from 1, as the states they are: state 0 is initial and
+    position ``i``'s label is ``labels[i - 1]``. Returns the list of position
+    labels, the final states, and per state the sorted tuple of its
+    successor states, one tuple object per distinct successor set; the
+    label of a transition is that of its destination.
 
     The walk runs on an explicit stack, so it does not recurse however deep
     ``e`` is. A node's first and last sets belong to it alone until its
@@ -253,15 +255,15 @@ def _glushkov(e, leaf, head=None):
     larger, which keeps long unions linear.
     """
     labels = []
-    follow = []  # follow[p]: positions that may come right after position p
+    follow = [None]  # follow[q]: states that may come right after state q; [0] is set last
 
     def position(label):
         labels.append(label)
         follow.append(set())
-        return len(labels) - 1
+        return len(labels)
 
     done = []  # (nullable, first, last) of the finished nodes, innermost last
-    stack = [(e, None)]  # (node, None) to open it; (node, head position or -1) to close it
+    stack = [(e, None)]  # (node, None) to open it; (node, head state or -1) to close it
     while stack:
         node, h = stack.pop()
         if h is None:
@@ -299,12 +301,11 @@ def _glushkov(e, leaf, head=None):
                     follow[p] |= f2
                 done.append((n1 and n2, _merge(f1, f2) if n1 else f1, _merge(l2, l1) if n2 else l2))
 
-    nullable, first, last = done.pop()
-    finals = {p + 1 for p in last}
+    nullable, follow[0], finals = done.pop()
     if nullable:
         finals.add(0)
     rows = {}
-    succs = [tuple(sorted(q + 1 for q in s)) for s in [first, *follow]]
+    succs = [tuple(sorted(s)) for s in follow]
     return labels, finals, [rows.setdefault(row, row) for row in succs]
 
 

@@ -22,10 +22,13 @@ at 1.
 
 Expression nodes and conditions are hash-consed: equal trees are one
 object, so equality is identity, hashing costs O(1) at any depth and
-caches keyed by trees never walk them.
+caches keyed by trees never walk them. The table is a plain dict from a
+node's kind and fields to a weak reference to the node, so a lookup runs
+in C; the reference's callback deletes the entry when the node dies.
 Each node carries its level, size, free variables, binder names and
 whether it is well-named, computed once from its children's when it is
-first made. ``satisfies`` interprets a condition over a dict valuation (the
+first made. Levels are shared: every node of one (F-level, E-level) pair
+holds the same ``Level``. ``satisfies`` interprets a condition over a dict valuation (the
 reference semantics); ``compile_cond`` turns it into one generated function
 of a register tuple, given the slot of each variable.
 """
@@ -35,7 +38,7 @@ from __future__ import annotations
 import random
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .errors import UndefinedVariableError, ValidationError
 
@@ -49,28 +52,50 @@ Valuation = dict  # Var -> DataValue, treated as immutable
 # Conditions
 
 
+class _Ref(weakref.ref):
+    """A weak reference to an interned value that holds the value's table key."""
+
+    __slots__ = ("key",)
+
+
+# (kind, *fields) -> _Ref of the live value with those fields
+_table = {}
+
+
+def _drop(ref, table=_table):
+    """The callback of a dead value's ref: delete its entry, unless an equal
+    value made since has replaced the ref there."""
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
 class _Interned:
     """Base of the interned kinds, each listing its fields in ``__match_args__``.
 
-    Values are hash-consed in a weak table keyed by kind and fields, parts
-    by identity: building one equal to a live one returns that one, so
-    equality is identity and hashing costs O(1) at any depth. ``_made`` sets
-    derived fields on a new one. Pickles carry the fields, so loads re-intern.
+    Values are hash-consed in ``_table``, a plain dict from kind and fields,
+    parts by identity, to a weak reference to the value: building one equal
+    to a live one returns that one, so equality is identity and hashing
+    costs O(1) at any depth. A hit is one dict lookup and one call of the
+    ref. The entry of a value that dies is deleted by its ref's callback.
+    ``_made`` sets derived fields on a new one. Pickles carry the fields,
+    so loads re-intern. The table takes no lock: threads that build equal
+    values at the same moment may each get one of their own.
     """
 
     __slots__ = ("__weakref__",)
     __match_args__ = ()
-    _table = weakref.WeakValueDictionary()
 
     def __new__(cls, *fields):
         key = (cls, *fields)
-        made = _Interned._table.get(key)
+        ref = _table.get(key)
+        made = ref and ref()
         if made is None:
             made = object.__new__(cls)
             for name, value in zip(cls.__match_args__, fields, strict=True):
                 object.__setattr__(made, name, value)
             made._made()
-            _Interned._table[key] = made
+            ref = _table[key] = _Ref(made, _drop)
+            ref.key = key
         return made
 
     def _made(self):
@@ -365,6 +390,11 @@ class Level:
         return (self.f_level, self.e_level)
 
 
+# The one Level of each (f_level, e_level) pair, which every node of that level holds.
+_level = cache(Level)
+_LEAF = _level(0, 1)
+
+
 def classify(e: Rewb) -> Level:
     """Minimal F- and E-levels of ``e`` in the iterated-binding hierarchy,
     which each node holds from when it was made (see ``_measure``)."""
@@ -402,19 +432,19 @@ def _measure(node):
         free, bound = _join(left.free, right.free), _join(left.bound, right.bound)
         well_named = (left.well_named and right.well_named
                       and left.bound.isdisjoint(right.bound) and bound.isdisjoint(free))
-        return Level(f, e), left.size + right.size + 1, free, bound, well_named
+        return _level(f, e), left.size + right.size + 1, free, bound, well_named
     if isinstance(node, Star):
         body = node.body
         f = body.level.f_level
-        return Level(f, f + 1), body.size + 1, body.free, body.bound, body.well_named
+        return _level(f, f + 1), body.size + 1, body.free, body.bound, body.well_named
     if isinstance(node, Bind):
         body, var = node.body, node.var
         e = body.level.e_level
         free = body.free - {var} if var in body.free else body.free
         well_named = body.well_named and var not in body.bound
-        return Level(e, e), body.size + 1, free, body.bound | {var}, well_named
+        return _level(e, e), body.size + 1, free, body.bound | {var}, well_named
     free = frozenset(cond_vars(node.cond)) if isinstance(node, Test) else _EMPTY
-    return Level(0, 1), 1, free, _EMPTY, True
+    return _LEAF, 1, free, _EMPTY, True
 
 
 # ---------------------------------------------------------------------------
@@ -583,22 +613,32 @@ def to_unf(e: Rewb) -> list[Rewb]:
     leaves. The number of parts may be exponential in the size of ``e``;
     no cap is applied. Every part compiles to an automaton no larger than
     the automaton of ``e``.
+
+    The walk runs on an explicit stack, so a tree of any depth takes no
+    recursion: a node that splits is opened, its children are split left
+    to right, and its parts are made from theirs when it is closed.
     """
-    cut = classify(e).e_level
-
-    def split(node):
-        if isinstance(node, Union):
-            return split(node.left) + split(node.right)
-        if classify(node).f_level < cut:
-            return [node]
-        if isinstance(node, Concat):
-            return [Concat(a, b) for a in split(node.left) for b in split(node.right)]
-        if isinstance(node, Bind):
-            return [Bind(node.letter, node.var, b) for b in split(node.body)]
-        # A star with f_level >= cut cannot occur outside the leaves above.
-        return [node]
-
-    return split(e)
+    cut = e.level.e_level
+    done = []  # the parts of the finished nodes, innermost last
+    stack = [(e, False)]  # (node, False) to open it; (node, True) to close it
+    while stack:
+        node, close = stack.pop()
+        if not close:
+            if isinstance(node, Union) or node.level.f_level >= cut and isinstance(node, (Concat, Bind)):
+                stack.append((node, True))
+                stack += [(child, False) for child in reversed(children(node))]
+            else:
+                # a leaf below the cut; a star with f_level >= cut cannot occur outside one
+                done.append([node])
+        elif isinstance(node, Bind):
+            done.append([Bind(node.letter, node.var, b) for b in done.pop()])
+        elif isinstance(node, Union):
+            right = done.pop()
+            done[-1] += right
+        else:
+            right = done.pop()
+            done.append([Concat(a, b) for a in done.pop() for b in right])
+    return done.pop()
 
 
 # ---------------------------------------------------------------------------

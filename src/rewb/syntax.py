@@ -17,14 +17,15 @@ unambiguous. ``+`` and ``.`` parse left-associated, ``|`` and ``&``
 right-associated; the printers mirror this, so printing followed by
 parsing reproduces the tree exactly.
 
-One regular expression scans the text into ``(kind, text, offset)``
-tokens. The parser is one operator-precedence loop over them, with a
-stack of operands, a stack of pending operators and a stack of open
-groups (``(``, ``a@x(``, ``a[`` and ``(`` inside a condition). The
-printers walk an explicit stack of pieces, each node kind's text given
-by one table. None of them recurses, so the depth of an expression is
-bounded by memory only. Offsets become (line, column) only when an
-error is reported.
+One regular expression scans the text into ``(kind, text)`` tokens, in
+one ``findall``; every symbol's token is one shared tuple. The parser is
+one operator-precedence loop over them, with a stack of operands, a
+stack of pending operators and a stack of open groups (``(``, ``a@x(``,
+``a[`` and ``(`` inside a condition). The printers walk an explicit
+stack of pieces, each node kind's text given by one table. None of them
+recurses, so the depth of an expression is bounded by memory only.
+Tokens carry no offsets: when an error is reported, the text is scanned
+again up to the failing token, and its offset becomes (line, column).
 
 Words are whitespace-separated ``letter:value`` tokens. Graph files are
 line-based (``node``, ``edge src letter value dst``, ``source``, ``sink``,
@@ -34,6 +35,7 @@ All formats are UTF-8 with LF line endings.
 
 from __future__ import annotations
 
+import itertools
 import re
 from functools import partial
 
@@ -43,7 +45,12 @@ from .errors import SourceError
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _VALUE_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-_TOKEN_RE = re.compile(rf"\s+|({_IDENT_RE.pattern})|(!=|[+.*@()\[\]|&~=])|(.)", re.S)
+# One token per match, whitespace skipped. A character that starts no token
+# matches the last branch, outside the group, so it comes out as "".
+_TOKEN_RE = re.compile(rf"({_IDENT_RE.pattern}|!=|[+.*@()\[\]|&~=])|\S")
+# The token of each symbol and of the reserved word, one tuple each.
+_SYMBOLS = {word: (word, word) for word in ("!=", *"+.*@()[]|&~=", "eps")}
+_EOF = ("eof", "")
 
 
 def _where(text, offset):
@@ -57,26 +64,29 @@ def _is_name(word):
 
 
 def _tokenize(text):
-    """The tokens of ``text`` as (kind, text, offset), then an ``eof`` token.
+    """The tokens of ``text`` as (kind, text), then an ``eof`` token.
 
-    The kind of a symbol is the symbol itself; words are ``eps`` or ``ident``.
+    The kind of a symbol is the symbol itself; words are ``eps`` or
+    ``ident``. A character that starts no token raises SourceError.
     """
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        word, symbol, other = m.groups()
-        if word:
-            tokens.append(("eps" if word == "eps" else "ident", word, m.start()))
-        elif symbol:
-            tokens.append((symbol, symbol, m.start()))
-        elif other:
-            raise SourceError(f"unexpected character {other!r}", *_where(text, m.start()))
-    tokens.append(("eof", "", len(text)))
+    words = _TOKEN_RE.findall(text)
+    if "" in words:
+        m = next(m for m in _TOKEN_RE.finditer(text) if m.group(1) is None)
+        raise SourceError(f"unexpected character {m.group()!r}", *_where(text, m.start()))
+    symbol = _SYMBOLS.get
+    tokens = [symbol(word) or ("ident", word) for word in words]
+    tokens.append(_EOF)
     return tokens
 
 
-def _expected(text, want, token):
-    kind, word, offset = token
+def _expected(text, want, tokens, i):
+    """The error for finding token ``i`` where ``want`` was wanted; the
+    token's offset is found by scanning ``text`` again."""
+    kind, word = tokens[i]
     found = "end of input" if kind == "eof" else repr(word)
+    offset = len(text)
+    for m in itertools.islice(_TOKEN_RE.finditer(text), i, i + 1):
+        offset = m.start()
     return SourceError(f"expected {want}, found {found}", *_where(text, offset))
 
 
@@ -98,7 +108,7 @@ def parse_expr(text: str) -> E.Rewb:
     i = 0
     while True:
         # An operand: a leaf, or a group to open, after which one is wanted again.
-        kind, word, _ = tokens[i]
+        kind, word = tokens[i]
         i += 1
         group = None
         if kind == "(":
@@ -108,27 +118,27 @@ def parse_expr(text: str) -> E.Rewb:
                 ops.append("~")
                 continue
             if kind != "ident":
-                raise _expected(text, "a condition", tokens[i - 1])
+                raise _expected(text, "a condition", tokens, i - 1)
             if tokens[i][0] == "=":
                 operands.append(E.Eq(word))
             elif tokens[i][0] == "!=":
                 operands.append(E.Neq(word))
             else:
-                raise _expected(text, "'=' or '!='", tokens[i])
+                raise _expected(text, "'=' or '!='", tokens, i)
             i += 1
         elif kind == "eps":
             operands.append(E.EPS)
         elif kind != "ident":
-            raise _expected(text, "an expression", tokens[i - 1])
+            raise _expected(text, "an expression", tokens, i - 1)
         elif tokens[i][0] == "[":
             group = ("]", partial(E.Test, word), True)
             i += 1
         elif tokens[i][0] == "@":
             var = tokens[i + 1]
             if var[0] != "ident":
-                raise _expected(text, "a variable name", var)
+                raise _expected(text, "a variable name", tokens, i + 1)
             if tokens[i + 2][0] != "(":
-                raise _expected(text, "'('", tokens[i + 2])
+                raise _expected(text, "'('", tokens, i + 2)
             group = (")", partial(E.Bind, word, var[1]), False)
             i += 3
         else:
@@ -152,7 +162,7 @@ def parse_expr(text: str) -> E.Rewb:
             folds = infix.get(kind)
             if folds is None and kind != closer:
                 want = "end of input" if closer == "eof" else f"'{closer}'"
-                raise _expected(text, want, tokens[i - 1])
+                raise _expected(text, want, tokens, i - 1)
             while ops[-1] is not None and (folds is None or ops[-1] in folds):
                 right = operands.pop()
                 operands[-1] = _MAKE[ops.pop()](operands[-1], right)

@@ -1,5 +1,6 @@
 """Core expression operations: free variables, renaming, levels, UNF."""
 
+import gc
 import hashlib
 import os
 import pickle
@@ -170,6 +171,33 @@ def test_unf_preserves_membership_and_size():
         for _ in range(20):
             w = random_word(rng, 6)
             assert member(e, w, val) == any(member(p, w, val) for p in parts)
+
+
+def test_unf_splits_2000_random_expressions_as_pinned():
+    # the digest of the parts printed, in order, as the recursive split gave
+    # them: 588 of the 2,000 expressions split, into 2,787 parts in all
+    rng = random.Random(2020)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        e = random_expr(rng, 16, letters=("a", "b", "c"), variables=("x", "y", "z"))
+        digest.update(" | ".join(print_expr(u) for u in to_unf(e)).encode() + b"\n")
+    assert digest.hexdigest() == "1082684541db1f9604b66418944fda1db4e231c671a19d262b4e9305099f7fed"
+
+
+DEEP = 10_000
+
+
+@pytest.mark.parametrize("text, parts", [
+    ("+".join(["a"] * DEEP), ["a"] * DEEP),
+    (".".join(["a"] * DEEP), [".".join(["a"] * DEEP)]),
+    # one binder name: distinct names would cost quadratic memory in the
+    # per-node binder sets
+    ("a@x(" * DEEP + "b[x=]+c" + ")" * DEEP,
+     ["a@x(" * DEEP + "b[x=]" + ")" * DEEP, "a@x(" * DEEP + "c" + ")" * DEEP]),
+], ids=["union", "concat", "binders"])
+def test_unf_at_ten_thousand_letters(text, parts):
+    # at the default recursion limit
+    assert to_unf(parse_expr(text)) == [parse_expr(part) for part in parts]
 
 
 def test_indistinguishable_examples():
@@ -440,6 +468,54 @@ def test_conditions_keep_their_repr_and_pickle_to_the_interned_value():
     assert pickle.loads(pickle.dumps(c)) is c
     with pytest.raises(AttributeError):
         c.left = E.Eq("z")
+
+
+def test_a_dead_nodes_entry_goes_and_an_equal_node_made_later_is_whole():
+    def build():
+        return E.Bind("qq", "zz", E.Concat(E.Test("qq", E.Eq("zz")), E.Atom("qq")))
+
+    e = build()
+    key = (E.Bind, "qq", "zz", e.body)
+    assert E._table[key]() is e
+    measures = (e.level, e.size, e.free, e.bound, e.well_named)
+    text = print_expr(e)
+    del e, key
+    gc.collect()
+    assert not any(k[0] is E.Bind and k[1] == "qq" for k in E._table)
+    again = build()
+    assert again is build() and again == parse_expr(text) and hash(again) == hash(build())
+    assert again != E.Bind("qq", "zz", E.Atom("qq"))
+    assert {again: 1}[build()] == 1
+    assert (again.level, again.size, again.free, again.bound, again.well_named) == measures
+
+
+def test_a_stale_callback_leaves_the_entry_of_an_equal_node_made_since():
+    key = (E.Atom, "stale")
+    e = E.Atom("stale")
+    old = E._table[key]
+    del e
+    gc.collect()
+    assert key not in E._table and old() is None
+    again = E.Atom("stale")
+    E._drop(old)  # the dead node's callback, run late
+    assert E._table[key]() is again and E.Atom("stale") is again
+
+
+def test_nodes_of_one_level_share_one_level():
+    assert E.Atom("a").level is E.Atom("b").level is E.EPS.level
+    assert parse_expr("a@x(b[x=])").level is parse_expr("c@y(a.b[y!=])").level
+    assert parse_expr("(a@x(b[x=]))*").level is parse_expr("(c@y(a))*.b").level
+    assert parse_expr("(a@x(b[x=]))*").level != parse_expr("a@x(b[x=])").level
+
+
+def test_a_pickled_node_loads_as_the_interned_node():
+    e = parse_expr("a@x((b[x=]+c)*)")
+    data = pickle.dumps(e)
+    assert pickle.loads(data) is e
+    del e
+    gc.collect()
+    loaded = pickle.loads(data)
+    assert loaded is parse_expr("a@x((b[x=]+c)*)") and loaded.level.as_tuple() == (1, 1)
 
 
 def _deep(op, n):

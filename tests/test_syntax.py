@@ -1,5 +1,6 @@
 """Text formats: parsing, printing, round-trips, error positions."""
 
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import rewb.expr as E
 from rewb.data import graph
 from rewb.errors import SourceError
+from rewb.pcp import PcpInstance, pcp_delta
 from rewb.randgen import random_expr, random_graph, random_word
 from rewb.syntax import (
     parse_expr,
@@ -82,6 +84,7 @@ MALFORMED = [
     ("a@x(b))", 1, 7, "expected end of input, found ')'"),
     ("a1[x=|(y!=&z=)", 1, 15, "expected ']', found end of input"),
     ("(a)\n.\u00e9", 2, 2, "unexpected character '\u00e9'"),
+    ("a.(b\n+ c@(d)", 2, 5, "expected a variable name, found '('"),
 ]
 
 
@@ -90,6 +93,52 @@ def test_parse_error_golden(text, line, column, message):
     with pytest.raises(SourceError) as err:
         parse_expr(text)
     assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
+
+# Characters a corruption puts in: symbols, letters, blanks, a newline and
+# characters that start no token.
+NOISE = "ab x=!()[]@.+*|&~$\n e"
+
+
+def _corrupt(rng, text):
+    """``text`` with one to three random deletions, insertions, replacements
+    or truncations."""
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(text) + 1)
+        roll = rng.randrange(4)
+        if roll == 0:
+            text = text[:k] + text[k + 1:]
+        elif roll == 1:
+            text = text[:k] + rng.choice(NOISE) + text[k:]
+        elif roll == 2:
+            text = text[:k] + rng.choice(NOISE) + text[k + 1:]
+        else:
+            text = text[:k]
+    return text
+
+
+def test_parse_results_on_corrupted_texts_are_pinned():
+    # the digest of (message, line, column) of each error, or of the text
+    # printed back from each tree that still parses, as the scanner that
+    # kept an offset in every token gave them: 2,000 corrupted random
+    # expressions and 40 corruptions of the 37,564-character i=1 PCP delta
+    rng = random.Random(2006)
+    texts = [_corrupt(rng, print_expr(random_expr(rng, 20, letters=("a", "b", "c"),
+                                                  variables=("x", "y", "z"))))
+             for _ in range(2000)]
+    delta = print_expr(pcp_delta(PcpInstance((("a", "ab"), ("bb", "b"))), 1))
+    texts += [_corrupt(rng, delta) for _ in range(40)]
+    digest = hashlib.sha256()
+    errors = 0
+    for text in texts:
+        try:
+            result = print_expr(parse_expr(text))
+        except SourceError as err:
+            errors += 1
+            result = f"{err.message} {err.line} {err.column}"
+        digest.update(result.encode() + b"\n")
+    assert errors == 1785
+    assert digest.hexdigest() == "1cac5bb6c06bed11862f0229987d13b63ffabbe74ddd4dbe16a95521167d59fc"
 
 
 DEPTH = 10_000
