@@ -44,6 +44,7 @@ from .syntax import (
 from .automata import automaton_size, hier_automaton, register_nfa
 from .evaluate import (
     connected,
+    connected_any,
     eval_any,
     eval_flat,
     eval_oracle,

@@ -31,7 +31,9 @@ state count is "letter occurrences + 1" for the flattened view and
   of a set of numbered tuples, so a search runs without re-interpreting
   guards, and it empties a binder's register at the moves where it dies
   (no later guard reads it before a store), so runs that differ only in
-  dead values meet.
+  dead values meet. For word membership it is reduced: ``reduced`` merges
+  the positions with equal pasts, which the copies of one prefix in many
+  arms of a union have.
 
 Both constructions require the input to be well-named (binder names
 pairwise distinct and disjoint from the free variables); ``alpha_rename``
@@ -40,6 +42,7 @@ produces such a form.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -105,19 +108,26 @@ class RegisterNfa(PositionAutomaton):
     Registers are a tuple of ``width`` slots, and ``slot`` maps each
     variable to its slot. The free variables ``free`` take the first slots
     in sorted order, then each binder nesting depth takes one slot, shared
-    by the binders at that depth (see ``register_nfa``). ``search_index``
-    and ``mask_index`` are ``index`` in the forms the two configuration
-    searches run, built on first use with their rows shared the same way;
-    see there for where registers are cleared.
+    by the binders at that depth (see ``register_nfa``). ``index``,
+    ``search_index``, ``mask_index`` and ``word_index`` are built on first
+    use, the last three in the forms the searches and ``member`` run, with
+    their rows shared the same way; see there for where registers are
+    cleared. ``stars`` is the record of the star bodies that ``_glushkov``
+    makes for ``reduced``, which drops it; it is None for an automaton not
+    to be reduced.
     """
 
-    def __init__(self, labels, finals, succs, free, slot):
+    def __init__(self, labels, finals, succs, free, slot, stars=None):
         super().__init__(labels, finals, succs)
         self.free = free
         self.slot = slot
         self.width = max(slot.values(), default=-1) + 1
-        entries = [(guard, store, dst) for dst, (_, guard, store) in enumerate(labels, start=1)]
-        self.index = self._rows([None, *entries])
+        self.stars = stars
+
+    @cached_property
+    def index(self):
+        entries = [(guard, store, dst) for dst, (_, guard, store) in enumerate(self.labels, start=1)]
+        return self._rows([None, *entries])
 
     def _rows(self, entry):
         """Per state, the row ``{letter: (entry[dst] for each successor dst)}``;
@@ -198,35 +208,222 @@ class RegisterNfa(PositionAutomaton):
         of ``liveness``'s ``clear`` emptied, in one step. So configurations
         that differ only in dead registers become one.
         """
-        return self._compiled_index(E.compile_cond)
+        return self._compiled_index(E.compile_cond, self.liveness[1])
 
     @cached_property
     def mask_index(self):
         """``search_index`` with each guard compiled by ``compile_mask`` to a
         set function over numbered register tuples, for the layered search."""
-        return self._compiled_index(E.compile_mask)
+        return self._compiled_index(E.compile_mask, self.liveness[1])
 
-    def _compiled_index(self, compile_guard):
-        """The entries (dst, compiled guard, splice); the positions with one
-        slot plan share one splice."""
-        width = self.width
-        _live, clear = self.liveness
-        splices = {}
+    @cached_property
+    def word_index(self):
+        """``search_index`` with no register emptied, for ``member``: a splice
+        only stores. The runs on one word meet few dead values, so this spares
+        the liveness pass."""
+        return self._compiled_index(E.compile_cond, None)
+
+    @cached_property
+    def reduced(self):
+        """This NFA with the positions of equal pasts merged, for ``member``.
+
+        Its states are the classes of ``_past_classes``, a backward
+        bisimulation, so it accepts what this NFA does (Ilie and Yu,
+        *Reducing NFAs by invariant equivalences*, 2003). A class is final
+        if a member is. ``self`` when nothing merges or ``stars`` is None.
+        """
+        stars, self.stars = self.stars, None  # read by the pass only
+        if stars is None:
+            return self
+        cls, merged, preds = _past_classes(self, stars)
+        if len(merged) == len(self.states):
+            return self
+        out = [[] for _ in merged]  # filled in class order, so each row comes sorted
+        for c, into in enumerate(preds):
+            for b in into:
+                out[b].append(c)
+        rows = {}
+        return RegisterNfa(
+            merged[1:],
+            {cls[q] for q in self.finals},
+            [rows.setdefault(row, row) for row in map(tuple, out)],
+            self.free,
+            self.slot,
+        )
+
+    def _compiled_index(self, compile_guard, clear):
+        """The entries (dst, compiled guard, splice), the splice emptying the
+        slots of ``clear[dst]`` (none if ``clear`` is None). A guard is
+        compiled once per object, and the positions with one slot plan, the
+        slot stored and the slots emptied, share one splice."""
+        width, slot = self.width, self.slot
+        clear = clear or [0] * len(self.states)
+        tests, splices = {}, {}
         made = [None]
         for dst, (_letter, guard, store) in enumerate(self.labels, start=1):
-            test = guard and compile_guard(guard, self.slot)
+            test = None
+            if guard is not None:
+                test = tests.get(guard)
+                if test is None:
+                    test = tests[guard] = compile_guard(guard, slot)
             splice = None
             if store is not None or clear[dst]:
-                stored = self.slot.get(store)
-                plan = tuple(width + 1 if clear[dst] >> i & 1 else width if i == stored else i
-                             for i in range(width))
+                stored, cleared = plan = (slot.get(store), clear[dst])
                 splice = splices.get(plan)
                 if splice is None:
-                    # itemgetter of one index returns the item, not a tuple
-                    items = (slice(plan[0], plan[0] + 1),) if width == 1 else plan
+                    items = tuple(width + 1 if cleared >> i & 1 else width if i == stored else i
+                                  for i in range(width))
+                    if width == 1:  # itemgetter of one index returns the item, not a tuple
+                        items = (slice(items[0], items[0] + 1),)
                     splice = splices[plan] = itemgetter(*items)
             made.append((dst, test, splice))
         return self._rows(made)
+
+
+def _past_classes(nfa, stars):
+    """(cls, merged, preds): the class ``cls[q]`` of each state of ``nfa``,
+    and per class the label of its first position (None for class 0) and
+    the classes of the predecessors of each of its positions. The classes
+    form a backward bisimulation: the positions of one class carry one label
+    in slot form and are reached by the same (word, register tuple) pairs.
+    Guards equal in slot form are one object in these labels.
+
+    ``stars`` is the record that ``_glushkov`` made of the star bodies. One
+    pass in position order gives each position a key: its label in slot
+    form, the classes of its predecessors numbered below it, and for each
+    star body it is a first position of, the body's key in slot form, its
+    offset there and the class of the body's leftmost position. Positions
+    of one key form one class; state 0 stays alone as class 0.
+
+    ``_glushkov`` numbers positions left to right, so every arc goes forward
+    but the back arcs of stars, from the last positions of a body to its
+    first ones. Two positions of one key are first at equal offsets of star
+    bodies equal in slot form whose leftmost positions share a class; those
+    bodies then match position by position, class for class, and so do the
+    back arcs into the two. So the positions of one class have one set of
+    predecessor classes: those below the first one and those of the back
+    arcs into it. For the same reason, a star body whose leftmost position
+    has the key of an earlier one's takes its classes without a pass.
+    """
+    labels, succs, slot = nfa.labels, nfa.succs, nfa.slot
+    n = len(labels) + 1
+    key = _slot_keys(slot)
+    firsts = [()] * n  # per position, (body key, leftmost, last positions) of each star body it is first in
+    spans = [None] * n  # per position, (end, last positions) of the largest star body it is leftmost in
+    for body, lo, hi, first, last in stars:
+        entry = ((key(body), lo, last),)
+        for p in first:
+            firsts[p] += entry
+        spans[lo] = (hi, last)
+    cls = [0] * n
+    below = [[] for _ in range(n)]  # below[q]: classes of q's predecessors numbered below q
+    for d in succs[0]:
+        below[d].append(0)
+    ids, label_keys, guards = {}, {}, {}
+    merged, preds = [None], [frozenset()]  # per class: its label, and the classes below its first position
+    reps = [0]
+    memo = {}  # key of a star body's leftmost position -> the classes of the body's positions
+    opened = []  # (key, start, end) of the star bodies under way, innermost last
+    q = 1
+    while q < n:
+        while opened and opened[-1][2] == q:
+            k, lo, hi = opened.pop()
+            memo[k] = cls[lo:hi]
+        label = labels[q - 1]
+        lk = label_keys.get(label)
+        if lk is None:
+            letter, guard, store = label
+            lk = label_keys[label] = (letter, guard and key(guard), slot.get(store))
+        starts = ()
+        for body, lo, _ in firsts[q]:
+            starts += (body, q - lo, cls[lo])  # cls[q] is still 0, which no position has
+        before = frozenset(below[q])
+        below[q] = None
+        k = (lk, before, starts)
+        if spans[q] is not None:
+            hi, last = spans[q]
+            made = memo.get(k)
+            if made is not None:
+                # A body whose leftmost position is keyed alike has its
+                # classes, position by position. Only its last positions
+                # move out of it, and all to the same positions.
+                cls[q:hi] = made
+                out = [cls[p] for p in last]
+                for d in succs[last[0]]:
+                    if d >= hi:
+                        below[d] += out
+                q = hi
+                continue
+            opened.append((k, q, hi))
+        c = ids.get(k)
+        if c is None:
+            c = ids[k] = len(merged)
+            letter, guard, store = label
+            if guard is not None and guards.setdefault(lk[1], guard) is not guard:
+                label = (letter, guards[lk[1]], store)
+            merged.append(label)
+            preds.append(before)
+            reps.append(q)
+        cls[q] = c
+        for d in succs[q]:
+            if d > q:
+                below[d].append(c)
+        q += 1
+    for c in range(1, len(merged)):  # add the back arcs into the first positions
+        q = reps[c]
+        for _, _, last in firsts[q]:
+            preds[c] = preds[c].union(map(cls.__getitem__, last[bisect_left(last, q):]))
+    return cls, merged, preds
+
+
+def _slot_keys(slot):
+    """A function from a node or condition to its key in slot form: two trees
+    get one key iff they are equal once each variable is replaced by its
+    slot. A node without variables is its own key, since nodes are
+    hash-consed; any other gets a number, made from its kind, letter, slot
+    and children's keys, and kept for later calls. The nodes to key are
+    listed parents first on an explicit stack, then keyed in reverse."""
+    keys, numbers = {}, {}
+
+    def key(root):
+        made = keys.get(root)
+        if made is not None:
+            return made
+        todo, stack = [], [root]
+        while stack:
+            node = stack.pop()
+            kind = type(node)
+            if node in keys:
+                continue
+            if kind in _LEAVES:
+                keys[node] = numbers.setdefault((kind, slot[node.var]), len(numbers))
+            elif kind not in _CONDS and not (node.free or node.bound):
+                keys[node] = node
+            elif kind in _PAIRS:
+                todo.append(node)
+                stack += (node.left, node.right)
+            else:
+                todo.append(node)
+                stack.append(node.cond if kind is E.Test else node.body)
+        for node in reversed(todo):
+            kind = type(node)
+            if kind in _PAIRS:
+                made = (kind, keys[node.left], keys[node.right])
+            elif kind is E.Test:
+                made = (kind, node.letter, keys[node.cond])
+            elif kind is E.Bind:
+                made = (kind, node.letter, slot[node.var], keys[node.body])
+            else:
+                made = (kind, keys[node.body])
+            keys[node] = numbers.setdefault(made, len(numbers))
+        return keys[root]
+
+    return key
+
+
+_LEAVES = frozenset((E.Eq, E.Neq))
+_CONDS = frozenset((E.Eq, E.Neq, E.Not, E.And, E.Or))
+_PAIRS = frozenset((E.Union, E.Concat, E.And, E.Or))
 
 
 def _require_well_named(e):
@@ -237,7 +434,7 @@ def _require_well_named(e):
         )
 
 
-def _glushkov(e, leaf, head=None):
+def _glushkov(e, leaf, head=None, stars=None):
     """Position (Glushkov) automaton of ``e`` over the positions ``leaf`` picks.
 
     ``leaf(node)`` returns the label of a node read as one position, or None
@@ -247,7 +444,10 @@ def _glushkov(e, leaf, head=None):
     position ``i``'s label is ``labels[i - 1]``. Returns the list of position
     labels, the final states, and per state the sorted tuple of its
     successor states, one tuple object per distinct successor set; the
-    label of a transition is that of its destination.
+    label of a transition is that of its destination. A list ``stars``
+    gets (body, leftmost position, end, first positions, sorted last
+    positions) of each star body with positions, inner stars first; the
+    body's positions are those from the leftmost one up to the end.
 
     The walk runs on an explicit stack, so it does not recurse however deep
     ``e`` is. A node's first and last sets belong to it alone until its
@@ -263,7 +463,8 @@ def _glushkov(e, leaf, head=None):
         return len(labels)
 
     done = []  # (nullable, first, last) of the finished nodes, innermost last
-    stack = [(e, None)]  # (node, None) to open it; (node, head state or -1) to close it
+    # (node, None) to open it; (node, head state, a star's first body position, or -1) to close it
+    stack = [(e, None)]
     while stack:
         node, h = stack.pop()
         if h is None:
@@ -276,7 +477,7 @@ def _glushkov(e, leaf, head=None):
             elif isinstance(node, (E.Union, E.Concat)):
                 stack += [(node, -1), (node.right, None), (node.left, None)]
             elif isinstance(node, E.Star):
-                stack += [(node, -1), (node.body, None)]
+                stack += [(node, len(labels) + 1), (node.body, None)]
             elif isinstance(node, E.Bind) and head is not None:
                 stack += [(node, position(head(node))), (node.body, None)]
             else:
@@ -286,6 +487,8 @@ def _glushkov(e, leaf, head=None):
         if isinstance(node, E.Star):
             for p in l2:
                 follow[p] |= f2
+            if stars is not None and f2:
+                stars.append((node.body, h, len(labels) + 1, tuple(f2), tuple(sorted(l2))))
             done.append((True, f2, l2))
         elif isinstance(node, E.Bind):
             follow[h] |= f2
@@ -329,11 +532,14 @@ def register_nfa(e: E.Rewb) -> RegisterNfa:
     """
     _require_well_named(e)
 
+    shared = {}  # one label per letter or test node, which its positions share
+
     def leaf(node):
-        if isinstance(node, E.Atom):
-            return node.letter, None, None
-        if isinstance(node, E.Test):
-            return node.letter, node.cond, None
+        if isinstance(node, (E.Atom, E.Test)):
+            label = shared.get(node)
+            if label is None:
+                label = shared[node] = (node.letter, getattr(node, "cond", None), None)
+            return label
         return None
 
     free = tuple(sorted(e.free))
@@ -341,12 +547,21 @@ def register_nfa(e: E.Rewb) -> RegisterNfa:
     stack = [(e, len(free))] if e.bound else []
     while stack:  # the binders, skipping subtrees that bind nothing
         node, depth = stack.pop()
-        if isinstance(node, E.Bind):
+        kind = type(node)
+        if kind is E.Bind:
             slot[node.var] = depth
-            depth += 1
-        stack += [(child, depth) for child in E.children(node) if child.bound]
-    labels, finals, succs = _glushkov(e, leaf, lambda node: (node.letter, None, node.var))
-    return RegisterNfa(labels, finals, succs, free, slot)
+            if node.body.bound:
+                stack.append((node.body, depth + 1))
+        elif kind is E.Star:
+            stack.append((node.body, depth))
+        else:  # a union or concatenation; leaves bind nothing
+            if node.right.bound:
+                stack.append((node.right, depth))
+            if node.left.bound:
+                stack.append((node.left, depth))
+    stars = []
+    labels, finals, succs = _glushkov(e, leaf, lambda node: (node.letter, None, node.var), stars)
+    return RegisterNfa(labels, finals, succs, free, slot, stars)
 
 
 def hier_automaton(e: E.Rewb) -> PositionAutomaton:

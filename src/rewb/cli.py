@@ -16,8 +16,8 @@ from . import randgen
 from .automata import automaton_size, dump_automaton
 from .errors import BudgetError, RewbError, ValidationError
 from .evaluate import (
-    _closing_valuations,
     connected,
+    connected_any,
     eval_any,
     eval_flat,
     eval_oracle,
@@ -131,8 +131,10 @@ def _cmd_eval(args):
                 print(f"{src} {letter} {value} {dst}")
         return 0
     if args.source is not None and args.engine == "flat":
-        vals = _closing_valuations(e.free, g.data_values()) if args.any else (val,)
-        held = any(connected(e, g, v, args.source, args.target) for v in vals)
+        if args.any:
+            held = connected_any(e, g, args.source, args.target)
+        else:
+            held = connected(e, g, val, args.source, args.target)
         print("true" if held else "false")
         return 0
     if args.any:
@@ -284,7 +286,7 @@ def _cmd_selftest(args):
         return 0
     for failure in report.failures:
         print(f"engine disagreement in case {failure['case']}:", file=sys.stderr)
-        for key in ("expr", "valuation", "flat", "stratified", "oracle", "pairs"):
+        for key in ("expr", "valuation", "flat", "stratified", "oracle", "pairs", "member"):
             print(f"  {key}: {failure[key]}", file=sys.stderr)
         print("  graph:", file=sys.stderr)
         for line in failure["graph"].splitlines():

@@ -1,103 +1,44 @@
 """Membership of data words and evaluation of data path queries.
 
 Three engines compute the same node-pair relation and cross-check each
-other:
+other; pick by the question asked:
 
-* ``eval_flat``: forward closure over configurations (node, automaton
-  state, register tuple) of the flattened register NFA, one search from
-  each source node. Register values only ever come from the graph or the
-  starting valuation, so the configuration space is finite and the
-  closure is sound and complete. A register tuple has one slot per free
-  variable and one per binder nesting depth, shared by the binders at that
-  depth. A move that stores a value or lets a binder's register die (no
-  later guard reads it before a store) builds the next tuple in one splice
-  that stores the value and empties the dead registers, so configurations
-  that differ only in dead values are one. Two kernels search these
-  configurations, and both number the register tuples they meet, so a
-  tuple is hashed only when a move makes a new one:
+* ``eval_flat`` (all pairs) and ``eval_any`` (all pairs under every
+  closing valuation) search configurations (node, state, register tuple)
+  of the flattened register NFA depth-first from each source
+  (``_search``). ``connected`` and ``witness_path`` (one pair, and a
+  shortest path for it) run a breadth-first search in layers that tests a
+  guard on all the register tuples of a (node, state) at once
+  (``_layered``); a graph keeps its last such search, so both on one pair
+  cost one search. That search's records stay with the graph until the
+  next one, and two threads must not search one graph at once. Register
+  tuples have one slot per free variable and one per binder nesting
+  depth, and a move empties the binder registers that die there, so
+  configurations that differ only in dead values meet.
 
-  - ``_search``, depth-first over (node, state, tuple number), testing
-    each guard with one call of its generated test. It serves
-    ``eval_flat`` (and through it ``eval_any``), whose searches meet few
-    tuples per (node, state): on the 22 ``eval_flat`` calls of the
-    ``rpq`` benchmark (seed 7, each call's best of 15, summed, on a 2-CPU
-    shared host with Python 3.11) the layered kernel below took 29 ms
-    against its 19-20.
-  - ``_layered``, breadth-first in strict layers over (node, state)
-    entries, each carrying the set of tuples that reach it as an int
-    bitset, in the bit-parallel manner of Baeza-Yates and Gonnet applied
-    to the register dimension. A guard is one call of a generated set
-    function on all of an entry's new tuples, over per-slot value buckets
-    that index a tuple only when a guard first tests it. On the reduction
-    gadgets a (node, state) is met with up to hundreds of tuples: on the 28
-    SAT/WQSAT gadgets of the ``decide`` benchmark, timed alike,
-    ``connected`` took 7.7 ms against ``_search``'s 27.
-    It serves ``connected`` and ``witness_path`` through one search per
-    source: a generator that records every entry's parents and yields
-    each node the first time it is reached in a final state. A graph keeps
-    its last such search, keyed by the NFA, the initial register tuple and
-    the source; ``connected`` resumes it until the target is yielded or the
-    search ends, and ``witness_path`` reads a shortest path back from the
-    records up to the one that first reached the target. So ``connected``
-    and then ``witness_path`` on one pair, or every target from one source,
-    cost one search. The memory held is one search's records per graph,
-    freed with the graph. A graph's search is not thread-safe: two threads
-    must not ask ``connected`` or ``witness_path`` on one graph at once.
+* ``eval_stratified`` evaluates level by level on kernels of its own
+  (``_strat``, ``_row_search``): rows of node bitsets per block, memoized
+  per (block, values of its free variables, source). It shares only the
+  renaming with the flat engine, builds no register NFA and interprets
+  guards, so it checks the flat engine with other code.
 
-  ``member`` and ``eval_oracle`` share one interpreted step (``_step``)
-  over dict valuations that keep every binding, the reference for the
-  compiled forms.
+* ``eval_oracle`` searches data paths breadth-first up to a length bound,
+  merging prefixes that reach one node with one set of configurations. It
+  steps them with ``_step``, which interprets guards over dict valuations
+  that keep every binding on the unreduced NFA: the reference semantics.
 
-* ``eval_stratified``: the per-level scheme, on kernels of its own. It
-  numbers the graph's nodes once per call and computes the row of the
-  query at each source node: the bitset of the nodes that a path from it
-  in the language reaches. A binding-free block's row is a depth-first
-  search over (node, state) of its hierarchical automaton's Read moves,
-  with no registers; its guards are interpreted by ``satisfies`` under the
-  block's valuation, and their answers are kept per (block, valuation)
-  by (guard, value). Any other block walks its hierarchical automaton
-  from the source over (node, state, value tuple), the tuple holding the
-  block's free variables in sorted order and then the variables its
-  BindReads bind: a BindRead puts the edge's value in its slot, and a
-  SubExpr ORs the row of a lower block at the current node into the
-  node bitset of its (state, tuple) entry and goes on from the new nodes
-  only. F-shaped automata have no BindRead, so one walk serves both
-  shapes. A block is thus evaluated only from the nodes a walk reaches.
-  Rows are memoized per (block, values of its free variables, source).
-  The engine shares only the renaming with the flat engine: it builds no
-  register NFA, keeps every binding (no register is emptied where it
-  dies) and interprets guards instead of compiling them, so it checks the
-  flat engine's register tuples and compiled guards independently, on
-  binding-free inputs too.
+``member`` and ``member_any`` run a word on the NFA's ``reduced`` quotient,
+which merges the positions with equal pasts, with compiled guards
+(``_member``); ``selftest`` checks them against a ``_step`` run.
 
-* ``eval_oracle``: bounded-length path search. Semantically this
-  enumerates every data path up to ``max_len`` edges and keeps the pairs
-  whose label sequence is accepted; the implementation walks paths
-  breadth-first while merging prefixes that reach the same node with the
-  same set of live automaton configurations, which returns exactly the
-  enumeration's answer without its blowup. The default bound is
-  (k^2 * n)^i where k is the largest automaton size among sub-expressions,
-  n the node count and i the expression's E-level; the number of explored
-  prefix classes is capped by a configurable budget.
-
-Every entry point reads an expression's free variables from its node
-(``free``), and all but ``eval_stratified`` take its register NFA from one
-cached compile step (``_compiled``), which builds the NFA from the
-position construction's transitions as they come. A tree that is not
-well-named is renamed first, by one cached step (``_renamed``) that
-returns a well-named tree as it is, so the stratified engine walks the
-renaming the compile step made; the
-witness, gadget and PCP generators build well-named trees, so theirs are
-never renamed. The register liveness and the compiled guards are made
-when a search first runs on an NFA, so ``member`` never pays for them.
-Expressions with free variables are evaluated under an explicit
-valuation covering them ("compatible"); the ``*_any`` variants close
-them off by enumerating input data values plus one shared fresh value,
-which suffices because conditions only compare a variable against the
-current letter's value, never variables against each other.
-
-The empty word is in the language of every epsilon-accepting expression,
-so such queries put (v, v) in the result for every node v.
+Every entry point but ``eval_stratified`` takes its register NFA from one
+cached compile step (``_compiled``); a tree that is not well-named is
+renamed first, once (``_renamed``). Expressions with free variables are
+evaluated under a valuation covering them; the ``*_any`` variants close
+them off with the input's data values plus one shared fresh value, which
+suffices because conditions only compare a variable against the current
+letter's value. An epsilon-accepting query puts (v, v) in the result for
+every node v.
 """
 
 from __future__ import annotations
@@ -157,6 +98,31 @@ def member(e: E.Rewb, w: DataWord, val=None) -> bool:
 
 
 def _member(nfa, w, val):
+    """Runs ``w`` on ``nfa.reduced``: each letter maps the set of
+    configurations (state, register tuple) to the next through the compiled
+    tests and splices of its ``word_index``. Accepts, and raises, exactly
+    where ``_stepped`` does on ``nfa``: the classes of the quotient are
+    reached by the (word, register tuple) pairs that reach their members."""
+    red = nfa.reduced
+    index = red.word_index
+    unset = E.UNSET
+    configs = {(0, _registers(red, val))}
+    for letter, d in w:
+        nxt = set()
+        for q, regs in configs:
+            for q2, test, splice in index[q].get(letter, ()):
+                if test is None or test(d, regs):
+                    nxt.add((q2, regs if splice is None else splice(regs + (d, unset))))
+        if not nxt:
+            return False
+        configs = nxt
+    finals = red.finals
+    return any(q in finals for q, _ in configs)
+
+
+def _stepped(nfa, w, val):
+    """``_member`` by the interpreted ``_step`` on the unreduced ``nfa``, the
+    reference that ``selftest`` checks it against."""
     configs = {(0, _vkey(val)): val}
     for letter, d in w:
         configs = _step(nfa, configs, letter, d)
@@ -286,6 +252,13 @@ def connected(e: E.Rewb, g: DataGraph, val, u, v) -> bool:
 def eval_any(e: E.Rewb, g: DataGraph) -> set:
     """Union of eval_flat over all closing valuations of the free variables."""
     return set().union(*(eval_flat(e, g, val) for val in _closing_valuations(e.free, g.data_values())))
+
+
+def connected_any(e: E.Rewb, g: DataGraph, u, v) -> bool:
+    """Is (u, v) in ``eval_any(e, g)``? ``connected`` under each closing
+    valuation in turn, until one holds."""
+    _check_nodes(g, u, v)
+    return any(connected(e, g, val, u, v) for val in _closing_valuations(e.free, g.data_values()))
 
 
 def witness_path(e: E.Rewb, g: DataGraph, val, u, v):

@@ -14,8 +14,17 @@ from dataclasses import dataclass, field
 
 from . import expr as E
 from .data import DataGraph, fresh_value, graph
-from .evaluate import connected, eval_flat, eval_oracle, eval_stratified, member, witness_path
-from .syntax import print_expr, print_graph, print_valuation
+from .evaluate import (
+    _compiled,
+    _stepped,
+    connected,
+    eval_flat,
+    eval_oracle,
+    eval_stratified,
+    member,
+    witness_path,
+)
+from .syntax import print_expr, print_graph, print_valuation, print_word
 
 LETTERS = ("a", "b")
 VARIABLES = ("x", "y")
@@ -108,9 +117,12 @@ class SelftestReport:
 
 def selftest(seed: int = 0, cases: int = 100) -> SelftestReport:
     """Run the three engines on random instances and compare result sets,
-    then check ``connected`` and ``witness_path`` against the flat result on
-    every node pair."""
+    check ``connected`` and ``witness_path`` against the flat result on
+    every node pair, and ``member`` on one random word against a run of the
+    interpreted step. The words come from a generator of their own, so the
+    instances of a seed do not depend on them."""
     rng = random.Random(seed)
+    words = random.Random(f"words {seed}")
     report = SelftestReport(cases)
     for case in range(cases):
         e = random_expr(rng, 8, max_e_level=2)
@@ -120,7 +132,8 @@ def selftest(seed: int = 0, cases: int = 100) -> SelftestReport:
         strat = eval_stratified(e, g, val)
         oracle = eval_oracle(e, g, val)
         pair = _pair_fault(e, g, val, flat)
-        if not (flat == strat == oracle) or pair:
+        word = _member_fault(e, random_word(words, 6), val)
+        if not (flat == strat == oracle) or pair or word:
             report.failures.append(
                 {
                     "case": case,
@@ -131,9 +144,19 @@ def selftest(seed: int = 0, cases: int = 100) -> SelftestReport:
                     "stratified": sorted(strat),
                     "oracle": sorted(oracle),
                     "pairs": pair,
+                    "member": word,
                 }
             )
     return report
+
+
+def _member_fault(e, w, val):
+    """A description of ``w`` if ``member`` and a ``_step`` run on the
+    unreduced register NFA disagree on it, else None."""
+    got, expected = member(e, w, val), _stepped(_compiled(e), w, dict(val))
+    if got == expected:
+        return None
+    return f"{print_word(w) or 'the empty word'}: member says {got}, the interpreted step {expected}"
 
 
 def _pair_fault(e, g, val, flat):

@@ -508,6 +508,22 @@ def test_selftest_reports_a_connected_answer_that_disagrees(monkeypatch):
     assert "graph:" in err
 
 
+def test_selftest_reports_a_member_answer_that_disagrees(monkeypatch):
+    import rewb.randgen as randgen
+
+    truth = randgen.member
+
+    def faulty(e, w, val=None):
+        return truth(e, w, val) != (len(w) == 1)  # wrong on one-letter words
+
+    monkeypatch.setattr(randgen, "member", faulty)
+    code, out, err = run(["selftest", "--seed", "3", "--cases", "25"])
+    assert code == 1 and out == ""
+    assert "engine disagreement" in err
+    assert "member says" in err and "the interpreted step" in err
+    assert "  member: " in err
+
+
 def test_parse_dump_ast_of_ten_thousand_nested_binders():
     code, out, err = run(["parse", "a@x(" * 10_000 + "b[x=]" + ")" * 10_000, "--dump-ast"])
     assert (code, err) == (0, "")

@@ -13,12 +13,16 @@ import pytest
 import rewb.expr as E
 from rewb.automata import hier_automaton
 from rewb.data import fresh_value, graph, word_values
-from rewb.errors import BudgetError, CompatibilityError, UndefinedVariableError
+from rewb.errors import BudgetError, CompatibilityError, UndefinedVariableError, ValidationError
+from rewb.automata import RegisterNfa
 from rewb.evaluate import (
     _compiled,
     _layered,
+    _member,
     _search,
+    _stepped,
     connected,
+    connected_any,
     eval_any,
     eval_flat,
     eval_oracle,
@@ -801,3 +805,65 @@ def test_engines_on_seven_hundred_letters(op, shift, word_len):
     assert not member(e, [("a", "1")] * (word_len + 1))
     assert eval_flat(e, g) == expected
     assert eval_stratified(e, g) == expected
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except UndefinedVariableError:
+        return UndefinedVariableError
+
+
+def test_member_on_the_reduced_nfa_agrees_with_the_interpreted_step():
+    # valuations that miss some free variables make both raise on the same words
+    rng = random.Random(223)
+    raised = accepted = triples = 0
+    while triples < 3600:
+        e = random_expr(rng, 12, letters=LETTERS3, variables=VARIABLES3, max_e_level=3)
+        if rng.random() < 0.5:  # shared prefixes, and one star in two contexts, renamed apart
+            s = E.Star(random_expr(rng, 6, letters=LETTERS3, variables=VARIABLES3, max_e_level=2))
+            e = rng.choice([E.Union(E.Concat(e, s), E.Concat(s, E.Concat(e, s))),
+                            E.Union(E.Concat(e, s), e), E.Union(s, E.Concat(s, e))])
+        nfa = _compiled(e)
+        for _ in range(6):
+            w = random_word(rng, 6, letters=LETTERS3)
+            val = {v: rng.choice("123") for v in sorted(e.free) if rng.random() < 0.8}
+            expected = _outcome(_stepped, nfa, w, val)
+            assert _outcome(_member, nfa, w, val) is expected, (print_expr(e), w, val)
+            raised += expected is UndefinedVariableError
+            accepted += expected is True
+            triples += 1
+    assert 100 < raised and 300 < accepted < triples - raised - 300
+
+
+def test_eval_oracle_steps_the_unreduced_nfa(monkeypatch):
+    def unbuilt(_nfa):
+        raise AssertionError("eval_oracle read the reduced NFA")
+
+    monkeypatch.setattr(RegisterNfa, "reduced", property(unbuilt))
+    e = parse_expr("(a@x(b[x=]))*")
+    assert eval_oracle(e, CYCLE) == eval_flat(e, CYCLE)
+
+
+def test_connected_any_is_membership_in_eval_any():
+    rng = random.Random(227)
+    held = 0
+    for _ in range(150):
+        e = random_expr(rng, 8, letters=LETTERS3, variables=VARIABLES3, max_e_level=2)
+        g = random_graph(rng, 4, 8, letters=LETTERS3)
+        pairs = eval_any(e, g)
+        for u in sorted(g.nodes):
+            for v in sorted(g.nodes):
+                assert connected_any(e, g, u, v) == ((u, v) in pairs), (print_expr(e), u, v)
+        held += len(pairs)
+    assert held > 100
+    with pytest.raises(ValidationError):
+        connected_any(parse_expr("a"), CYCLE, "n0", "nowhere")
+
+
+def test_member_under_a_starred_binder_of_ten_thousand_tests():
+    # the slot-form key of the star's body is made on an explicit stack
+    e = parse_expr("(a@x(" + ".".join(["b[x=]"] * 10_000) + "))*")
+    block = [("b", "1")] * 10_000
+    assert member(e, [("a", "1")] + block + [("a", "2")] + [("b", "2")] * 10_000)
+    assert not member(e, [("a", "1")] + block + [("a", "2")] + block)
