@@ -308,12 +308,12 @@ def _past_classes(nfa, stars):
     labels, succs, slot = nfa.labels, nfa.succs, nfa.slot
     n = len(labels) + 1
     key = _slot_keys(slot)
-    firsts = [()] * n  # per position, (body key, leftmost, last positions) of each star body it is first in
+    firsts = {}  # position -> [(body key, leftmost, last positions)] of each star body it is first in
     spans = [None] * n  # per position, (end, last positions) of the largest star body it is leftmost in
     for body, lo, hi, first, last in stars:
-        entry = ((key(body), lo, last),)
+        entry = (key(body), lo, last)
         for p in first:
-            firsts[p] += entry
+            firsts.setdefault(p, []).append(entry)
         spans[lo] = (hi, last)
     cls = [0] * n
     below = [[] for _ in range(n)]  # below[q]: classes of q's predecessors numbered below q
@@ -335,8 +335,11 @@ def _past_classes(nfa, stars):
             letter, guard, store = label
             lk = label_keys[label] = (letter, guard and key(guard), slot.get(store))
         starts = ()
-        for body, lo, _ in firsts[q]:
-            starts += (body, q - lo, cls[lo])  # cls[q] is still 0, which no position has
+        if q in firsts:
+            starts = []
+            for body, lo, _ in firsts[q]:
+                starts += body, q - lo, cls[lo]  # cls[q] is still 0, which no position has
+            starts = tuple(starts)
         before = frozenset(below[q])
         below[q] = None
         k = (lk, before, starts)
@@ -371,8 +374,10 @@ def _past_classes(nfa, stars):
         q += 1
     for c in range(1, len(merged)):  # add the back arcs into the first positions
         q = reps[c]
-        for _, _, last in firsts[q]:
-            preds[c] = preds[c].union(map(cls.__getitem__, last[bisect_left(last, q):]))
+        if q in firsts:
+            preds[c] = into = set(preds[c])
+            for _, _, last in firsts[q]:
+                into.update(map(cls.__getitem__, last[bisect_left(last, q):]))
     return cls, merged, preds
 
 
