@@ -308,12 +308,16 @@ def _past_classes(nfa, stars):
     labels, succs, slot = nfa.labels, nfa.succs, nfa.slot
     n = len(labels) + 1
     key = _slot_keys(slot)
-    firsts = {}  # position -> [(body key, leftmost, last positions)] of each star body it is first in
+    inner = [None] * n  # per position, (body key, leftmost, last positions) of the innermost star body it is first in
+    outer = {}  # position -> the same of the other star bodies it is first in, inner ones first
     spans = [None] * n  # per position, (end, last positions) of the largest star body it is leftmost in
     for body, lo, hi, first, last in stars:
         entry = (key(body), lo, last)
         for p in first:
-            firsts.setdefault(p, []).append(entry)
+            if inner[p] is None:
+                inner[p] = entry
+            else:
+                outer.setdefault(p, []).append(entry)
         spans[lo] = (hi, last)
     cls = [0] * n
     below = [[] for _ in range(n)]  # below[q]: classes of q's predecessors numbered below q
@@ -335,11 +339,14 @@ def _past_classes(nfa, stars):
             letter, guard, store = label
             lk = label_keys[label] = (letter, guard and key(guard), slot.get(store))
         starts = ()
-        if q in firsts:
-            starts = []
-            for body, lo, _ in firsts[q]:
-                starts += body, q - lo, cls[lo]  # cls[q] is still 0, which no position has
-            starts = tuple(starts)
+        if inner[q] is not None:
+            body, lo, _ = inner[q]
+            starts = (body, q - lo, cls[lo])  # cls[q] is still 0, which no position has
+            if q in outer:
+                starts = [*starts]
+                for body, lo, _ in outer[q]:
+                    starts += body, q - lo, cls[lo]
+                starts = tuple(starts)
         before = frozenset(below[q])
         below[q] = None
         k = (lk, before, starts)
@@ -374,9 +381,9 @@ def _past_classes(nfa, stars):
         q += 1
     for c in range(1, len(merged)):  # add the back arcs into the first positions
         q = reps[c]
-        if q in firsts:
+        if inner[q] is not None:
             preds[c] = into = set(preds[c])
-            for _, _, last in firsts[q]:
+            for _, _, last in [inner[q], *outer.get(q, ())]:
                 into.update(map(cls.__getitem__, last[bisect_left(last, q):]))
     return cls, merged, preds
 
