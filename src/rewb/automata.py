@@ -103,18 +103,20 @@ class RegisterNfa(PositionAutomaton):
     to the entries (guard, store, dst) of the moves out of ``state`` on it,
     in transition order, which ``moves`` returns. All arcs into a position
     share its one entry, and states with equal successor sets share one
-    row: an entry depends only on its destination.
+    row: an entry depends only on its destination. ``row_numbers`` numbers
+    the distinct rows.
 
     Registers are a tuple of ``width`` slots, and ``slot`` maps each
     variable to its slot. The free variables ``free`` take the first slots
     in sorted order, then each binder nesting depth takes one slot, shared
     by the binders at that depth (see ``register_nfa``). ``index``,
-    ``search_index``, ``mask_index`` and ``word_index`` are built on first
-    use, the last three in the forms the searches and ``member`` run, with
-    their rows shared the same way; see there for where registers are
-    cleared. ``stars`` is the record of the star bodies that ``_glushkov``
-    makes for ``reduced``, which drops it; it is None for an automaton not
-    to be reduced.
+    ``row_index``, ``mask_index`` and ``word_index`` are built on first
+    use, the last three in the forms the searches and ``member`` run:
+    ``row_index`` holds each row once under its number, the other two per
+    state with their rows shared the same way; see there for where
+    registers are cleared. ``stars`` is the record of the star bodies that
+    ``_glushkov`` makes for ``reduced``, which drops it; it is None for an
+    automaton not to be reduced.
     """
 
     def __init__(self, labels, finals, succs, free, slot, stars=None):
@@ -198,8 +200,17 @@ class RegisterNfa(PositionAutomaton):
         return live, clear
 
     @cached_property
-    def search_index(self):
-        """``index`` with entries (dst, test, splice), for the searches.
+    def row_numbers(self):
+        """Per state, the number of its row: the distinct successor tuples in
+        order of first appearance, so state 0's row is row 0."""
+        numbers = {}
+        return [numbers.setdefault(succ, len(numbers)) for succ in self.succs]
+
+    @cached_property
+    def row_index(self):
+        """The rows by row number, for ``_search``: per letter, the entries
+        (row number of dst, whether dst is final, test, splice). States with
+        one row have one future, so the search keys configurations by row.
 
         ``test`` is the guard compiled over registers (None for no guard).
         ``splice`` is None when the move leaves the registers as they are;
@@ -208,20 +219,24 @@ class RegisterNfa(PositionAutomaton):
         of ``liveness``'s ``clear`` emptied, in one step. So configurations
         that differ only in dead registers become one.
         """
-        return self._compiled_index(E.compile_cond, self.liveness[1])
+        numbers, finals = self.row_numbers, self.finals
+        made = self._compiled_entries(E.compile_cond, self.liveness[1])
+        made[1:] = [(numbers[dst], dst in finals, test, splice) for dst, test, splice in made[1:]]
+        return list(dict(zip(numbers, self._rows(made))).values())
 
     @cached_property
     def mask_index(self):
-        """``search_index`` with each guard compiled by ``compile_mask`` to a
-        set function over numbered register tuples, for the layered search."""
-        return self._compiled_index(E.compile_mask, self.liveness[1])
+        """Per state, the rows of ``row_index`` with entries (dst, mask,
+        splice), each guard compiled by ``compile_mask`` to a set function
+        over numbered register tuples, for the layered search."""
+        return self._rows(self._compiled_entries(E.compile_mask, self.liveness[1]))
 
     @cached_property
     def word_index(self):
-        """``search_index`` with no register emptied, for ``member``: a splice
-        only stores. The runs on one word meet few dead values, so this spares
-        the liveness pass."""
-        return self._compiled_index(E.compile_cond, None)
+        """``mask_index`` with guards compiled by ``compile_cond`` and no
+        register emptied, for ``member``: a splice only stores. The runs on
+        one word meet few dead values, so this spares the liveness pass."""
+        return self._rows(self._compiled_entries(E.compile_cond, None))
 
     @cached_property
     def reduced(self):
@@ -251,11 +266,12 @@ class RegisterNfa(PositionAutomaton):
             self.slot,
         )
 
-    def _compiled_index(self, compile_guard, clear):
-        """The entries (dst, compiled guard, splice), the splice emptying the
-        slots of ``clear[dst]`` (none if ``clear`` is None). A guard is
-        compiled once per object, and the positions with one slot plan, the
-        slot stored and the slots emptied, share one splice."""
+    def _compiled_entries(self, compile_guard, clear):
+        """Per position ``dst``, the entry (dst, compiled guard, splice), the
+        splice emptying the slots of ``clear[dst]`` (none if ``clear`` is
+        None), indexed from 1 like the states. A guard is compiled once per
+        object, and the positions with one slot plan, the slot stored and the
+        slots emptied, share one splice."""
         width, slot = self.width, self.slot
         clear = clear or [0] * len(self.states)
         tests, splices = {}, {}
@@ -277,7 +293,7 @@ class RegisterNfa(PositionAutomaton):
                         items = (slice(items[0], items[0] + 1),)
                     splice = splices[plan] = itemgetter(*items)
             made.append((dst, test, splice))
-        return self._rows(made)
+        return made
 
 
 def _past_classes(nfa, stars):

@@ -4,17 +4,19 @@ Three engines compute the same node-pair relation and cross-check each
 other; pick by the question asked:
 
 * ``eval_flat`` (all pairs) and ``eval_any`` (all pairs under every
-  closing valuation) search configurations (node, state, register tuple)
-  of the flattened register NFA depth-first from each source
-  (``_search``). ``connected`` and ``witness_path`` (one pair, and a
-  shortest path for it) run a breadth-first search in layers that tests a
-  guard on all the register tuples of a (node, state) at once
-  (``_layered``); a graph keeps its last such search, so both on one pair
-  cost one search. That search's records stay with the graph until the
-  next one, and two threads must not search one graph at once. Register
-  tuples have one slot per free variable and one per binder nesting
-  depth, and a move empties the binder registers that die there, so
-  configurations that differ only in dead values meet.
+  closing valuation) search configurations (node, row, register tuple
+  number) of the flattened register NFA depth-first from each source
+  (``_search``): states with one move row have one future, so a hit is
+  recorded on every move into a final state, and each call numbers tuples
+  and splices them in one table for all its sources. ``connected`` and
+  ``witness_path`` (one pair, and a shortest path for it) run a
+  breadth-first search in layers that tests a guard on all the register
+  tuples of a (node, state) at once (``_layered``); a graph keeps its last
+  such search, so both on one pair cost one search. That search's records
+  stay with the graph until the next one, and two threads must not search
+  one graph at once. Register tuples have one slot per free variable and
+  one per binder nesting depth, and a move empties the binder registers
+  that die there, so configurations that differ only in dead values meet.
 
 * ``eval_stratified`` evaluates level by level on kernels of its own
   (``_strat``, ``_row_search``): rows of node bitsets per block, memoized
@@ -170,56 +172,65 @@ def member_any(e: E.Rewb, w: DataWord) -> bool:
 # Configuration search
 
 
-def _search(nfa, adj, val, start):
-    """Depth-first search over configurations (node, state, register tuple number).
+def _search(nfa, adj, val, sources):
+    """Depth-first search over configurations (node, row number, register
+    tuple number) from each node of ``sources``.
 
-    Starts from ``start`` in the initial state with ``val`` in the free
-    variables' slots and follows graph edges through the NFA's
-    ``search_index``, whose moves store values and empty the registers that
-    die there in one splice. The search numbers each register tuple it
-    meets, in the order met, and keys a configuration by that number, so a
-    tuple is hashed only where a move changes one. Returns the set of nodes
-    reached in a final state.
+    A source starts in the initial state with ``val`` in the free variables'
+    slots; the search follows graph edges through the NFA's ``row_index``,
+    whose moves store values and empty the registers that die there in one
+    splice. States with one row have one future, so a configuration is keyed
+    by its row, and a node is hit whenever a move enters a final state, seen
+    configuration or not: a row can be shared by a final and a non-final
+    state. All sources share one table: register tuples numbered in the
+    order met, and per tuple number and splice, the number of the tuple the
+    splice makes from each value, so a tuple is built and hashed once per
+    call. Returns the pairs (source, node hit from it).
     """
-    finals = nfa.finals
-    index = nfa.search_index
+    rows, hit0 = nfa.row_index, 0 in nfa.finals
     unset = E.UNSET
     regs = _registers(nfa, val)
-    tuples = [regs]
-    number = {regs: 0}
-    key0 = (start, 0, 0)
-    hits = {start} if 0 in finals else set()
-    seen = {key0}
-    todo = [key0]
-    while todo:
-        key = todo.pop()
-        node, q, r = key
-        regs = tuples[r]
-        out = index[q]
-        for edge in adj[node]:
-            entries = out.get(edge[1])
-            if entries is None:
-                continue
-            d, dst = edge[2], edge[3]
-            for q2, test, splice in entries:
-                if test is not None and not test(d, regs):
+    tuples, number, made = [regs], {regs: 0}, [{}]
+    pairs = set()
+    for start in sources:
+        key0 = (start, 0, 0)
+        hits = {start} if hit0 else set()
+        seen = {key0}
+        todo = [key0]
+        while todo:
+            node, n, r = todo.pop()
+            regs = tuples[r]
+            spliced = made[r]
+            out = rows[n]
+            for edge in adj[node]:
+                entries = out.get(edge[1])
+                if entries is None:
                     continue
-                if splice is None:
-                    k2 = (dst, q2, r)
-                else:
-                    stored = splice(regs + (d, unset))
-                    r2 = number.get(stored)
-                    if r2 is None:
-                        r2 = number[stored] = len(tuples)
-                        tuples.append(stored)
-                    k2 = (dst, q2, r2)
-                if k2 in seen:
-                    continue
-                seen.add(k2)
-                todo.append(k2)
-                if q2 in finals:
-                    hits.add(dst)
-    return hits
+                d, dst = edge[2], edge[3]
+                for n2, final, test, splice in entries:
+                    if test is not None and not test(d, regs):
+                        continue
+                    if final:
+                        hits.add(dst)
+                    if splice is None:
+                        k2 = (dst, n2, r)
+                    else:
+                        r2 = spliced.get((splice, d))
+                        if r2 is None:
+                            stored = splice(regs + (d, unset))
+                            r2 = number.get(stored)
+                            if r2 is None:
+                                r2 = number[stored] = len(tuples)
+                                tuples.append(stored)
+                                made.append({})
+                            spliced[splice, d] = r2
+                        k2 = (dst, n2, r2)
+                    if k2 in seen:
+                        continue
+                    seen.add(k2)
+                    todo.append(k2)
+        pairs.update((start, v) for v in hits)
+    return pairs
 
 
 def _registers(nfa, val):
@@ -231,8 +242,7 @@ def _registers(nfa, val):
 def eval_flat(e: E.Rewb, g: DataGraph, val=None) -> set:
     """All pairs (u, v) connected by a data path in the language of ``e``."""
     val = dict(val or {})
-    nfa, adj = _checked_nfa(e, val), g.out_edges()
-    return {(u, v) for u in g.nodes for v in _search(nfa, adj, val, u)}
+    return _search(_checked_nfa(e, val), g.out_edges(), val, g.nodes)
 
 
 def _check_nodes(g, *nodes):

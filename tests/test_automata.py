@@ -263,10 +263,21 @@ def test_states_share_a_row_exactly_when_their_successor_sets_are_equal():
         nfa = register_nfa(e)
         distinct = set(nfa.succs)
         assert len({id(succ) for succ in nfa.succs}) == len(distinct)
-        for rows in (nfa.index, nfa.search_index, nfa.mask_index):
+        for rows in (nfa.index, nfa.mask_index, nfa.word_index):
             # one row per successor tuple and one successor tuple per row
             assert len({(succ, id(row)) for succ, row in zip(nfa.succs, rows)}) == len(distinct)
             assert len({id(row) for row in rows}) == len(distinct)
+        # row numbers: equal exactly for equal successor tuples, first-seen
+        # order from state 0, and row_index holds each row once under its number
+        numbers = nfa.row_numbers
+        assert len({(succ, n) for succ, n in zip(nfa.succs, numbers)}) == len(distinct)
+        assert list(dict.fromkeys(numbers)) == list(range(len(distinct)))
+        assert len(nfa.row_index) == len(distinct)
+        for n, row in zip(numbers, nfa.index):
+            assert {letter: [entry[:2] for entry in entries] for letter, entries in nfa.row_index[n].items()} == {
+                letter: [(numbers[dst], dst in nfa.finals) for _guard, _store, dst in entries]
+                for letter, entries in row.items()
+            }
         shared += len(distinct) < len(nfa.states)
     assert shared > 100
 
@@ -288,9 +299,9 @@ def test_a_compiled_delta_makes_one_splice_per_slot_plan(i):
     plans = {(clear[dst], nfa.slot.get(store))
              for dst, (_letter, _guard, store) in enumerate(nfa.labels, start=1)
              if store is not None or clear[dst]}
-    for index in (nfa.search_index, nfa.mask_index):
-        splices = {id(splice) for row in index for entries in row.values()
-                   for _dst, _test, splice in entries if splice is not None}
+    for index in (nfa.row_index, nfa.mask_index):
+        splices = {id(entry[-1]) for row in index for entries in row.values()
+                   for entry in entries if entry[-1] is not None}
         assert 1 < len(splices) <= len(plans) <= 10
 
 

@@ -16,6 +16,7 @@ from rewb.data import fresh_value, graph, word_values
 from rewb.errors import BudgetError, CompatibilityError, UndefinedVariableError, ValidationError
 from rewb.automata import RegisterNfa
 from rewb.evaluate import (
+    _closing_valuations,
     _compiled,
     _layered,
     _member,
@@ -386,10 +387,16 @@ def test_witness_labels_are_accepted_and_shortest():
 
 def test_connected_matches_eval_flat():
     rng = random.Random(41)
+    # the two b positions of (b*.b)* share one row and only the second is
+    # final: the flat search must hit v on entering it, though (v, row) is seen
+    arrival = (parse_expr("(b*.b)*"), graph([("u", "b", "1", "v")]), {})
+    assert ("u", "v") in eval_flat(*arrival)
+    cases = [arrival]
     for _ in range(300):
         e = random_expr(rng, 6)
         g = random_graph(rng, max_nodes=4)
-        val = random_valuation(rng, sorted(E.free_vars(e)), sorted(g.data_values()))
+        cases.append((e, g, random_valuation(rng, sorted(E.free_vars(e)), sorted(g.data_values()))))
+    for e, g, val in cases:
         pairs = eval_flat(e, g, val)
         for u in g.nodes:
             for v in g.nodes:
@@ -698,18 +705,28 @@ def test_searches_raise_on_unset_variables_exactly_when_a_dict_search_does():
         g = random_graph(rng, 4, 9, letters=LETTERS3)
         val = {v: rng.choice("123") for v in sorted(e.free) if rng.random() < 0.6}
         nfa, adj = _compiled(e), g.out_edges()
+        expected = {}
         for u in sorted(g.nodes):
             try:
-                expected = reachable_finals(e, g, val, u)
+                expected[u] = reachable_finals(e, g, val, u)
             except UndefinedVariableError:
-                expected = UndefinedVariableError
+                expected[u] = UndefinedVariableError
             try:
-                got = set(_search(nfa, adj, val, u))
+                got = {v for _, v in _search(nfa, adj, val, [u])}
             except UndefinedVariableError:
                 got = UndefinedVariableError
-            assert got == expected
+            assert got == expected[u]
             raised += got is UndefinedVariableError
             agreed += 1
+        # one search from every source, on one table, raises if any source does
+        try:
+            got = _search(nfa, adj, val, sorted(g.nodes))
+        except UndefinedVariableError:
+            got = UndefinedVariableError
+        if UndefinedVariableError in expected.values():
+            assert got is UndefinedVariableError
+        else:
+            assert got == {(u, v) for u, hits in expected.items() for v in hits}
     assert 0 < raised < agreed
 
 
@@ -751,6 +768,29 @@ def test_connected_matches_eval_flat_on_cyclic_graphs():
                 assert connected(e, g, val, u, v) == ((u, v) in pairs), (print_expr(e), u, v)
         held += len(pairs)
     assert held > 1000
+
+
+def test_flat_pairs_equal_a_dict_search_on_cyclic_graphs():
+    # eval_flat runs every source on one tuple table, and eval_any runs one
+    # table per closing valuation; both must give the dict search's pairs
+    rng = random.Random(109)
+    loop = parse_expr("(a+b+c).(a+b+c)*")
+    cyclic = free = 0
+    for _ in range(1600):
+        e = random_expr(rng, 10, letters=LETTERS3, variables=VARIABLES3, max_e_level=3)
+        g = random_graph(rng, max_nodes=5, max_edges=12, letters=LETTERS3)
+        val = random_valuation(rng, sorted(E.free_vars(e)), sorted(g.data_values()))
+
+        def pairs(val):
+            return {(u, v) for u in g.nodes for v in reachable_finals(e, g, val, u)}
+
+        assert eval_flat(e, g, val) == pairs(val), print_expr(e)
+        if e.free:
+            expected = set().union(*map(pairs, _closing_valuations(e.free, g.data_values())))
+            assert eval_any(e, g) == expected, print_expr(e)
+            free += 1
+        cyclic += any(u in reachable_finals(loop, g, {}, u) for u in g.nodes)
+    assert cyclic > 1000 and free > 400
 
 
 def test_oracle_bound_counts_as_the_built_automata_do():
