@@ -42,7 +42,6 @@ produces such a form.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -114,17 +113,14 @@ class RegisterNfa(PositionAutomaton):
     use, the last three in the forms the searches and ``member`` run:
     ``row_index`` holds each row once under its number, the other two per
     state with their rows shared the same way; see there for where
-    registers are cleared. ``stars`` is the record of the star bodies that
-    ``_glushkov`` makes for ``reduced``, which drops it; it is None for an
-    automaton not to be reduced.
+    registers are cleared.
     """
 
-    def __init__(self, labels, finals, succs, free, slot, stars=None):
+    def __init__(self, labels, finals, succs, free, slot):
         super().__init__(labels, finals, succs)
         self.free = free
         self.slot = slot
         self.width = max(slot.values(), default=-1) + 1
-        self.stars = stars
 
     @cached_property
     def index(self):
@@ -243,14 +239,12 @@ class RegisterNfa(PositionAutomaton):
         """This NFA with the positions of equal pasts merged, for ``member``.
 
         Its states are the classes of ``_past_classes``, a backward
-        bisimulation, so it accepts what this NFA does (Ilie and Yu,
-        *Reducing NFAs by invariant equivalences*, 2003). A class is final
-        if a member is. ``self`` when nothing merges or ``stars`` is None.
+        bisimulation refined from this NFA alone, so it accepts what this
+        NFA does (Ilie and Yu, *Reducing NFAs by invariant equivalences*,
+        2003). A class is final if a member is. ``self`` when nothing
+        merges.
         """
-        stars, self.stars = self.stars, None  # read by the pass only
-        if stars is None:
-            return self
-        cls, merged, preds = _past_classes(self, stars)
+        cls, merged, preds = _past_classes(self)
         if len(merged) == len(self.states):
             return self
         out = [[] for _ in merged]  # filled in class order, so each row comes sorted
@@ -296,7 +290,7 @@ class RegisterNfa(PositionAutomaton):
         return made
 
 
-def _past_classes(nfa, stars):
+def _past_classes(nfa):
     """(cls, merged, preds): the class ``cls[q]`` of each state of ``nfa``,
     and per class the label of its first position (None for class 0) and
     the classes of the predecessors of each of its positions. The classes
@@ -304,103 +298,55 @@ def _past_classes(nfa, stars):
     in slot form and are reached by the same (word, register tuple) pairs.
     Guards equal in slot form are one object in these labels.
 
-    ``stars`` is the record that ``_glushkov`` made of the star bodies. One
-    pass in position order gives each position a key: its label in slot
-    form, the classes of its predecessors numbered below it, and for each
-    star body it is a first position of, the body's key in slot form, its
-    offset there and the class of the body's leftmost position. Positions
-    of one key form one class; state 0 stays alone as class 0.
-
-    ``_glushkov`` numbers positions left to right, so every arc goes forward
-    but the back arcs of stars, from the last positions of a body to its
-    first ones. Two positions of one key are first at equal offsets of star
-    bodies equal in slot form whose leftmost positions share a class; those
-    bodies then match position by position, class for class, and so do the
-    back arcs into the two. So the positions of one class have one set of
-    predecessor classes: those below the first one and those of the back
-    arcs into it. For the same reason, a star body whose leftmost position
-    has the key of an earlier one's takes its classes without a pass.
+    Naive partition refinement (Paige and Tarjan, *Three partition
+    refinement algorithms*, 1987), seeded by one pass in position order.
+    The pass keys each position by its label in slot form and the classes
+    of its predecessors numbered below it; state 0 stays alone as class 0.
+    ``_glushkov`` numbers positions left to right, so every arc goes
+    forward but the back arcs of star bodies, which this key leaves out.
+    Each round keys every state by its class and the classes of all its
+    predecessors, building each distinct predecessor tuple's class set
+    once, until a round splits no class: then every member of a class has
+    its set of predecessor classes. Classes are numbered in order of their
+    first state, in the pass and in every round.
     """
     labels, succs, slot = nfa.labels, nfa.succs, nfa.slot
     n = len(labels) + 1
     key = _slot_keys(slot)
-    inner = [None] * n  # per position, (body key, leftmost, last positions) of the innermost star body it is first in
-    outer = {}  # position -> the same of the other star bodies it is first in, inner ones first
-    spans = [None] * n  # per position, (end, last positions) of the largest star body it is leftmost in
-    for body, lo, hi, first, last in stars:
-        entry = (key(body), lo, last)
-        for p in first:
-            if inner[p] is None:
-                inner[p] = entry
-            else:
-                outer.setdefault(p, []).append(entry)
-        spans[lo] = (hi, last)
+    into = [[] for _ in range(n)]
+    for p, succ in enumerate(succs):
+        for q in succ:
+            into[q].append(p)
+    distinct = {}  # predecessor tuple -> its number
+    pred = [distinct.setdefault(ps, len(distinct)) for ps in map(tuple, into)]  # per state
+    tuples = list(distinct)
     cls = [0] * n
-    below = [[] for _ in range(n)]  # below[q]: classes of q's predecessors numbered below q
-    for d in succs[0]:
-        below[d].append(0)
-    ids, label_keys, guards = {}, {}, {}
-    merged, preds = [None], [frozenset()]  # per class: its label, and the classes below its first position
-    reps = [0]
-    memo = {}  # key of a star body's leftmost position -> the classes of the body's positions
-    opened = []  # (key, start, end) of the star bodies under way, innermost last
-    q = 1
-    while q < n:
-        while opened and opened[-1][2] == q:
-            k, lo, hi = opened.pop()
-            memo[k] = cls[lo:hi]
+    ids, label_keys = {}, {}
+    for q in range(1, n):
         label = labels[q - 1]
         lk = label_keys.get(label)
         if lk is None:
             letter, guard, store = label
             lk = label_keys[label] = (letter, guard and key(guard), slot.get(store))
-        starts = ()
-        if inner[q] is not None:
-            body, lo, _ = inner[q]
-            starts = (body, q - lo, cls[lo])  # cls[q] is still 0, which no position has
-            if q in outer:
-                starts = [*starts]
-                for body, lo, _ in outer[q]:
-                    starts += body, q - lo, cls[lo]
-                starts = tuple(starts)
-        before = frozenset(below[q])
-        below[q] = None
-        k = (lk, before, starts)
-        if spans[q] is not None:
-            hi, last = spans[q]
-            made = memo.get(k)
-            if made is not None:
-                # A body whose leftmost position is keyed alike has its
-                # classes, position by position. Only its last positions
-                # move out of it, and all to the same positions.
-                cls[q:hi] = made
-                out = [cls[p] for p in last]
-                for d in succs[last[0]]:
-                    if d >= hi:
-                        below[d] += out
-                q = hi
-                continue
-            opened.append((k, q, hi))
-        c = ids.get(k)
-        if c is None:
-            c = ids[k] = len(merged)
-            letter, guard, store = label
-            if guard is not None and guards.setdefault(lk[1], guard) is not guard:
-                label = (letter, guards[lk[1]], store)
+        cls[q] = ids.setdefault((lk, frozenset([cls[p] for p in into[q] if p < q])), len(ids) + 1)
+    count = len(ids) + 1
+    while True:
+        sets = [frozenset(map(cls.__getitem__, ps)) for ps in tuples]
+        ids = {}
+        cls = [ids.setdefault((c, sets[t]), len(ids)) for c, t in zip(cls, pred)]
+        if len(ids) == count:
+            break
+        count = len(ids)
+    merged, preds, guards = [None], [frozenset()], {}
+    for q in range(1, n):
+        if cls[q] == len(merged):  # the first position of its class
+            letter, guard, store = label = labels[q - 1]
+            if guard is not None:
+                gk = label_keys[label][1]
+                if guards.setdefault(gk, guard) is not guard:
+                    label = (letter, guards[gk], store)
             merged.append(label)
-            preds.append(before)
-            reps.append(q)
-        cls[q] = c
-        for d in succs[q]:
-            if d > q:
-                below[d].append(c)
-        q += 1
-    for c in range(1, len(merged)):  # add the back arcs into the first positions
-        q = reps[c]
-        if inner[q] is not None:
-            preds[c] = into = set(preds[c])
-            for _, _, last in [inner[q], *outer.get(q, ())]:
-                into.update(map(cls.__getitem__, last[bisect_left(last, q):]))
+            preds.append(sets[pred[q]])
     return cls, merged, preds
 
 
@@ -462,7 +408,7 @@ def _require_well_named(e):
         )
 
 
-def _glushkov(e, leaf, head=None, stars=None):
+def _glushkov(e, leaf, head=None):
     """Position (Glushkov) automaton of ``e`` over the positions ``leaf`` picks.
 
     ``leaf(node)`` returns the label of a node read as one position, or None
@@ -472,10 +418,7 @@ def _glushkov(e, leaf, head=None, stars=None):
     position ``i``'s label is ``labels[i - 1]``. Returns the list of position
     labels, the final states, and per state the sorted tuple of its
     successor states, one tuple object per distinct successor set; the
-    label of a transition is that of its destination. A list ``stars``
-    gets (body, leftmost position, end, first positions, sorted last
-    positions) of each star body with positions, inner stars first; the
-    body's positions are those from the leftmost one up to the end.
+    label of a transition is that of its destination.
 
     The walk runs on an explicit stack, so it does not recurse however deep
     ``e`` is. A node's first and last sets belong to it alone until its
@@ -491,7 +434,7 @@ def _glushkov(e, leaf, head=None, stars=None):
         return len(labels)
 
     done = []  # (nullable, first, last) of the finished nodes, innermost last
-    # (node, None) to open it; (node, head state, a star's first body position, or -1) to close it
+    # (node, None) to open it; (node, head state or -1) to close it
     stack = [(e, None)]
     while stack:
         node, h = stack.pop()
@@ -505,7 +448,7 @@ def _glushkov(e, leaf, head=None, stars=None):
             elif isinstance(node, (E.Union, E.Concat)):
                 stack += [(node, -1), (node.right, None), (node.left, None)]
             elif isinstance(node, E.Star):
-                stack += [(node, len(labels) + 1), (node.body, None)]
+                stack += [(node, -1), (node.body, None)]
             elif isinstance(node, E.Bind) and head is not None:
                 stack += [(node, position(head(node))), (node.body, None)]
             else:
@@ -515,8 +458,6 @@ def _glushkov(e, leaf, head=None, stars=None):
         if isinstance(node, E.Star):
             for p in l2:
                 follow[p] |= f2
-            if stars is not None and f2:
-                stars.append((node.body, h, len(labels) + 1, tuple(f2), tuple(sorted(l2))))
             done.append((True, f2, l2))
         elif isinstance(node, E.Bind):
             follow[h] |= f2
@@ -587,9 +528,8 @@ def register_nfa(e: E.Rewb) -> RegisterNfa:
                 stack.append((node.right, depth))
             if node.left.bound:
                 stack.append((node.left, depth))
-    stars = []
-    labels, finals, succs = _glushkov(e, leaf, lambda node: (node.letter, None, node.var), stars)
-    return RegisterNfa(labels, finals, succs, free, slot, stars)
+    labels, finals, succs = _glushkov(e, leaf, lambda node: (node.letter, None, node.var))
+    return RegisterNfa(labels, finals, succs, free, slot)
 
 
 def hier_automaton(e: E.Rewb) -> PositionAutomaton:

@@ -613,6 +613,8 @@ def eval_oracle(
     caps the number of explored classes; exceeding it raises BudgetError
     rather than returning a truncated result.
     """
+    if max_len is not None and max_len < 0:
+        raise ValidationError(f"max_len must be at least 0, got {max_len}")
     val = dict(val or {})
     nfa = _checked_nfa(e, val)
     if max_len is None:

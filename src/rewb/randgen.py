@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from . import expr as E
 from .data import DataGraph, fresh_value, graph
+from .errors import ValidationError
 from .evaluate import (
     _compiled,
     _stepped,
@@ -121,6 +122,8 @@ def selftest(seed: int = 0, cases: int = 100) -> SelftestReport:
     every node pair, and ``member`` on one random word against a run of the
     interpreted step. The words come from a generator of their own, so the
     instances of a seed do not depend on them."""
+    if cases < 0:
+        raise ValidationError(f"cases must be at least 0, got {cases}")
     rng = random.Random(seed)
     words = random.Random(f"words {seed}")
     report = SelftestReport(cases)

@@ -196,6 +196,14 @@ def test_eval_rejects_options_it_would_ignore(tmp_path, flags, first, second):
     assert code == 1 and out == "" and first in err and second in err
 
 
+def test_eval_oracle_rejects_a_negative_length_bound(tmp_path):
+    graph_file = tmp_path / "g.graph"
+    graph_file.write_text("edge u a 5 v\n", encoding="utf-8")
+    code, out, err = run(["eval", "--expr", "a", "--graph", str(graph_file),
+                          "--engine", "oracle", "--max-len", "-1"])
+    assert code == 1 and out == "" and "max_len must be at least 0" in err
+
+
 def test_member_rejects_any_with_val():
     code, out, err = run(["member", "--expr", "a[x=]", "--word", "a:5", "--any", "--val", "x=9"])
     assert code == 1 and out == "" and "--any" in err and "--val" in err
@@ -453,6 +461,11 @@ def test_gadget_pcp_commands(tmp_path):
 def test_selftest_reports_ok():
     code, out, err = run(["selftest", "--seed", "3", "--cases", "25"])
     assert (code, out, err) == (0, "OK: 25 cases\n", "")
+
+
+def test_selftest_rejects_a_negative_case_count():
+    code, out, err = run(["selftest", "--cases", "-1"])
+    assert code == 1 and out == "" and "cases must be at least 0" in err
 
 
 def test_selftest_seed_reproducibility():
