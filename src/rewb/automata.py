@@ -7,8 +7,9 @@ finals and one sorted successor tuple per state, shared by the states
 with equal successor sets, with no epsilon transitions. The construction
 runs on an explicit stack, so it does not recurse. The (src, label, dst)
 ``transitions`` are built from the successor tuples only when read. The
-state count is "letter occurrences + 1" for the flattened view and
-"meta-letter occurrences + 1" for the hierarchical view.
+state count is "letter occurrences + 1" for the flattened view, a maximal
+union of plain letters counting once, and "meta-letter occurrences + 1"
+for the hierarchical view.
 
 * ``hier_automaton`` keeps the expression's own level visible: a
   binding-free expression gets Read transitions over its letter
@@ -20,9 +21,11 @@ state count is "letter occurrences + 1" for the flattened view and
 
 * ``register_nfa`` (a ``RegisterNfa``, the position automaton with a move
   row per state, stored once per distinct successor set) flattens
-  everything to guarded single-letter transitions with store actions: a
-  binder contributes its head letter with a store, a conditioned letter
-  contributes its guard. Acceptance is defined over configurations (state,
+  everything to guarded letter transitions with store actions: a binder
+  contributes its head letter with a store, a conditioned letter its
+  guard, and a maximal union of plain letters is one position, a character
+  class (Berry and Sethi, 1986: its letters share predecessors and
+  successors). Acceptance is defined over configurations (state,
   valuation); the language equals the expression's language for every
   compatible starting valuation. Its registers have one slot per free
   variable and one per binder nesting depth, which the binders at that
@@ -95,15 +98,16 @@ class PositionAutomaton:
 
 
 class RegisterNfa(PositionAutomaton):
-    """Position automaton over letter occurrences with guards and stores.
+    """Position automaton over letter classes with guards and stores.
 
-    A label is (letter, guard, store), ``guard`` a Condition or None (always
-    true) and ``store`` a variable or None. ``index[state]`` maps each letter
-    to the entries (guard, store, dst) of the moves out of ``state`` on it,
-    in transition order, which ``moves`` returns. All arcs into a position
-    share its one entry, and states with equal successor sets share one
-    row: an entry depends only on its destination. ``row_numbers`` numbers
-    the distinct rows.
+    A label is (letters, guard, store): the sorted tuple of the letters that
+    read the position (one, or a class's), ``guard`` a Condition or None
+    (always true) and ``store`` a variable or None. ``index[state]`` maps
+    each letter to the entries (guard, store, dst) of the moves out of
+    ``state`` on it, in transition order, which ``moves`` returns. All arcs
+    into a position share its one entry, under each of its letters, and
+    states with equal successor sets share one row: an entry depends only
+    on its destination. ``row_numbers`` numbers the distinct rows.
 
     Registers are a tuple of ``width`` slots, and ``slot`` maps each
     variable to its slot. The free variables ``free`` take the first slots
@@ -122,14 +126,20 @@ class RegisterNfa(PositionAutomaton):
         self.slot = slot
         self.width = max(slot.values(), default=-1) + 1
 
+    @property
+    def transitions(self):
+        """Per arc, one (src, (letter, guard, store), dst) for each letter of dst."""
+        return tuple((src, (letter, guard, store), dst)
+                     for src, (letters, guard, store), dst in super().transitions for letter in letters)
+
     @cached_property
     def index(self):
         entries = [(guard, store, dst) for dst, (_, guard, store) in enumerate(self.labels, start=1)]
         return self._rows([None, *entries])
 
     def _rows(self, entry):
-        """Per state, the row ``{letter: (entry[dst] for each successor dst)}``;
-        states with equal successor tuples get one shared row."""
+        """Per state, the row ``{letter: (entry[dst] for each successor dst
+        the letter reads)}``; states with equal successor tuples share a row."""
         labels = self.labels
         rows = {}
         out = []
@@ -138,7 +148,8 @@ class RegisterNfa(PositionAutomaton):
             if row is None:
                 moves = {}
                 for dst in succ:
-                    moves.setdefault(labels[dst - 1][0], []).append(entry[dst])
+                    for letter in labels[dst - 1][0]:
+                        moves.setdefault(letter, []).append(entry[dst])
                 row = rows[succ] = {letter: tuple(ms) for letter, ms in moves.items()}
             out.append(row)
         return out
@@ -501,15 +512,21 @@ def register_nfa(e: E.Rewb) -> RegisterNfa:
     """
     _require_well_named(e)
 
-    shared = {}  # one label per letter or test node, which its positions share
+    shared = {}  # one label per position node, which its positions share
+    plain = {}  # union node -> whether all its leaves are letters
 
     def leaf(node):
-        if isinstance(node, (E.Atom, E.Test)):
-            label = shared.get(node)
-            if label is None:
-                label = shared[node] = (node.letter, getattr(node, "cond", None), None)
-            return label
-        return None
+        label = shared.get(node)
+        if label is None:
+            kind = type(node)
+            if kind is E.Atom or kind is E.Test:
+                label = ((node.letter,), getattr(node, "cond", None), None)
+            elif kind is E.Union and _plain_union(node, plain):
+                label = (tuple(sorted(E.letters_in(node))), None, None)
+            else:
+                return None
+            shared[node] = label
+        return label
 
     free = tuple(sorted(e.free))
     slot = {var: i for i, var in enumerate(free)}
@@ -528,8 +545,25 @@ def register_nfa(e: E.Rewb) -> RegisterNfa:
                 stack.append((node.right, depth))
             if node.left.bound:
                 stack.append((node.left, depth))
-    labels, finals, succs = _glushkov(e, leaf, lambda node: (node.letter, None, node.var))
+    labels, finals, succs = _glushkov(e, leaf, lambda node: ((node.letter,), None, node.var))
     return RegisterNfa(labels, finals, succs, free, slot)
+
+
+def _plain_union(top, plain):
+    """Whether every leaf of the union ``top`` reached through unions is a
+    letter. Fills in ``plain`` for ``top`` and every union under it, children
+    first, so over all calls each union node is decided once."""
+    stack = [] if top in plain else [top]
+    while stack:
+        node = stack[-1]
+        sides = (node.left, node.right)
+        todo = [k for k in sides if type(k) is E.Union and k not in plain]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        plain[node] = all(plain[k] if type(k) is E.Union else type(k) is E.Atom for k in sides)
+    return plain[top]
 
 
 def hier_automaton(e: E.Rewb) -> PositionAutomaton:

@@ -154,6 +154,10 @@ def _cmd_eval(args):
 
 
 def _cmd_witness(args):
+    reads = {"r": (), "u": ("n",), "mismatch": ("n", "count", "seed")}[args.family]
+    for dest in ("n", "count", "seed"):  # None unless given
+        _reject(getattr(args, dest) is not None and dest not in reads,
+                f"--{dest}", f"witness --family {args.family}")
     if args.family == "r":
         print(print_expr(r_expr(args.i)))
     elif args.family == "u":
@@ -163,7 +167,8 @@ def _cmd_witness(args):
     else:
         if args.n is None:
             raise ValidationError("--n is required for the mismatch family")
-        for sample in mismatch_samples(args.i, args.n, args.count, args.seed):
+        count = 1 if args.count is None else args.count
+        for sample in mismatch_samples(args.i, args.n, count, args.seed or 0):
             print(print_word(sample))
     return 0
 
@@ -336,8 +341,8 @@ def _build_parser():
     p.add_argument("--family", choices=("r", "u", "mismatch"), required=True)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--n", type=int)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("gadget", help="reduction gadget builders")

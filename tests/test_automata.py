@@ -11,6 +11,7 @@ import rewb.expr as E
 from rewb.automata import (
     PositionAutomaton,
     Read,
+    RegisterNfa,
     SubExpr,
     automaton_size,
     automaton_sizes,
@@ -19,7 +20,7 @@ from rewb.automata import (
 )
 from rewb.errors import ValidationError
 from rewb.data import graph
-from rewb.evaluate import _compiled, connected, eval_flat, member, member_any
+from rewb.evaluate import _compiled, _stepped, connected, eval_flat, member, member_any
 from rewb.gadgets import eval_expr, parse_nnf, sat_reduction
 from rewb.pcp import PcpInstance, pcp_delta, pcp_encode
 from rewb.randgen import random_expr, random_valuation, random_word
@@ -115,14 +116,79 @@ def test_eshaped_automata_are_acyclic():
     assert checked > 50
 
 
+def _plain(e):
+    """Is ``e`` a letter or a union of plain letters?"""
+    return isinstance(e, E.Atom) or isinstance(e, E.Union) and _plain(e.left) and _plain(e.right)
+
+
 def test_register_nfa_state_count_is_occurrences_plus_one():
+    # letter occurrences and binder heads outside unions of plain letters,
+    # plus one per maximal such union, plus the initial state
     rng = random.Random(6)
+    classes = 0
     for _ in range(200):
         e = E.alpha_rename(random_expr(rng, 10))
-        occurrences = sum(
-            1 for n in E.subexpressions(e) if isinstance(n, (E.Atom, E.Test, E.Bind))
-        )
+        occurrences, stack = 0, [e]
+        while stack:
+            n = stack.pop()
+            if isinstance(n, E.Union) and _plain(n):
+                occurrences += 1
+                classes += 1
+            else:
+                occurrences += isinstance(n, (E.Atom, E.Test, E.Bind))
+                stack += E.children(n)
         assert len(register_nfa(e).states) == occurrences + 1
+    assert classes > 0
+
+
+def _with_classes(rng, e):
+    """``e`` with about 70% of its letters replaced by unions of two to four
+    letters, one in five of them also holding a test, so no class."""
+    kind = type(e)
+    if kind is E.Atom and rng.random() < 0.7:
+        arms = [E.Atom(rng.choice("abc")) for _ in range(rng.randint(2, 4))]
+        if rng.random() < 0.2:
+            arms.append(E.Test(rng.choice("abc"), E.Neq("x")))
+        out = arms.pop(rng.randrange(len(arms)))
+        for arm in arms:
+            out = E.Union(out, arm) if rng.random() < 0.5 else E.Union(arm, out)
+        return out
+    if kind in (E.Union, E.Concat):
+        return kind(_with_classes(rng, e.left), _with_classes(rng, e.right))
+    if kind is E.Star:
+        return E.Star(_with_classes(rng, e.body))
+    if kind is E.Bind:
+        return E.Bind(e.letter, e.var, _with_classes(rng, e.body))
+    return e
+
+
+def _per_letter_nfa(e):
+    """The register NFA of the well-named ``e`` with a position for every
+    letter occurrence, classes or not."""
+    def leaf(node):
+        if isinstance(node, (E.Atom, E.Test)):
+            return (node.letter,), getattr(node, "cond", None), None
+        return None
+
+    nfa = register_nfa(e)
+    labels, finals, succs = automata._glushkov(e, leaf, lambda node: ((node.letter,), None, node.var))
+    return RegisterNfa(labels, finals, succs, nfa.free, nfa.slot)
+
+
+def test_class_positions_accept_what_per_letter_positions_accept():
+    rng = random.Random(37)
+    smaller = accepted = 0
+    for _ in range(1200):
+        e = E.alpha_rename(_with_classes(rng, random_expr(rng, 10, ("a", "b", "c"), ("x", "y"), max_e_level=2)))
+        nfa, ref = register_nfa(e), _per_letter_nfa(e)
+        smaller += len(nfa.states) < len(ref.states)
+        val = random_valuation(rng, sorted(e.free), ("1", "2"))
+        for _ in range(6):
+            w = random_word(rng, 5, ("a", "b", "c"), ("1", "2"))
+            truth = _stepped(ref, w, val)
+            assert member(e, w, val) == truth, (e, w, val)
+            accepted += truth
+    assert smaller > 500 and accepted > 800
 
 
 def test_register_nfa_guard_variables_are_free_or_binders():
@@ -159,8 +225,9 @@ def test_register_nfa_index_matches_the_full_sort_key():
         for (src, letter), moves in full.items():
             assert [m[:3] for m in nfa.moves(src, letter)] == moves
         assert sum(map(len, full.values())) == len(nfa.transitions)
-        rebuilt = sorted(((src, nfa.labels[m[2] - 1], m[2]) for src, row in enumerate(nfa.index)
-                          for ms in row.values() for m in ms), key=lambda t: (t[0], t[2]))
+        # one arc per letter of the destination's class
+        rebuilt = sorted(((src, (letter, *nfa.labels[m[2] - 1][1:]), m[2]) for src, row in enumerate(nfa.index)
+                          for letter, ms in row.items() for m in ms), key=lambda t: (t[0], t[2], t[1][0]))
         assert nfa.transitions == tuple(rebuilt)
 
 def test_register_nfa_examples():
@@ -209,7 +276,7 @@ def _clears(text):
     nfa = register_nfa(E.alpha_rename(parse_expr(text)))
     clear = nfa.liveness[1]
     out = {}
-    for q, (letter, guard, store) in enumerate(nfa.labels, start=1):
+    for q, ((letter,), guard, store) in enumerate(nfa.labels, start=1):
         out[letter, print_cond(guard) if guard else store] = {i for i in range(nfa.width) if clear[q] >> i & 1}
     return nfa, out
 
@@ -287,7 +354,7 @@ _PCP = PcpInstance((("a", "ab"), ("bb", "b")))
 
 def test_a_pcp_delta_stores_few_distinct_rows():
     nfa = register_nfa(pcp_delta(_PCP, 1))
-    assert len(nfa.states) == 5323
+    assert len(nfa.states) == 2336
     assert len({id(row) for row in nfa.index}) <= 1600
 
 
@@ -334,16 +401,51 @@ def test_ten_thousand_letter_chains_compile_at_the_default_recursion_limit(op):
     e = parse_expr(op.join(letters))
     assert e.well_named
     nfa, aut = register_nfa(e), hier_automaton(e)
-    assert [label[0] for label in nfa.labels] == letters  # numbered left to right
-    assert aut.labels == [Read(letter) for letter in letters]
-    assert aut.succs == nfa.succs
+    assert aut.labels == [Read(letter) for letter in letters]  # numbered left to right
     if op == ".":
-        assert nfa.succs == [(q + 1,) for q in range(10_000)] + [()]
+        assert nfa.labels == [((letter,), None, None) for letter in letters]
+        assert aut.succs == nfa.succs == [(q + 1,) for q in range(10_000)] + [()]
         word = tuple((letter, "1") for letter in letters)
         assert member(e, word) and not member(e, word[:-1])
     else:
-        assert nfa.succs == [tuple(range(1, 10_001))] + [()] * 10_000
+        # the flat view reads the whole union as one class position
+        assert nfa.labels == [(tuple(sorted(letters)), None, None)]
+        assert nfa.succs == [(1,), ()] and nfa.finals == {1}
+        assert aut.succs == [tuple(range(1, 10_001))] + [()] * 10_000
         assert member(e, (("l5000", "1"),)) and not member(e, (("l5000", "1"), ("l1", "1")))
+
+
+@pytest.mark.parametrize("text, states, accepted, rejected", [
+    # two-letter arms: no class, and the position construction merges the
+    # first and last sets of 10,000 arms
+    ("+".join(f"l{j}.m{j}" for j in range(10_000)), 20_001, ["l5000 m5000"], ["l5000", "l5000 m4999"]),
+    # the deepest arm is a concatenation, so every union holds it and none
+    # is a class, which the class search must find in linear time
+    ("x.y+" + "+".join(f"l{j}" for j in range(1, 10_000)), 10_002, ["l5000", "x y"], ["x", "l1 l2"]),
+    # the same arms the other way round: one class of 9,999 letters
+    ("+".join(f"l{j}" for j in range(1, 10_000)) + "+x.y", 4, ["l5000", "x y"], ["x", "l1 l2"]),
+], ids=["pairs", "pair-first", "pair-last"])
+def test_ten_thousand_arm_unions_compile_at_the_default_recursion_limit(text, states, accepted, rejected):
+    e = parse_expr(text)
+    assert len(register_nfa(e).states) == states
+    for word in accepted + rejected:
+        assert member(e, tuple((letter, "1") for letter in word.split())) == (word in accepted), word
+
+
+def test_the_class_search_decides_each_union_once(monkeypatch):
+    # every union holds the concatenation, so each is asked whether it is a
+    # class on the way down; the answers below it must be kept
+    truth, decided = automata._plain_union, []
+
+    def counted(top, plain):
+        before = len(plain)
+        out = truth(top, plain)
+        decided.append(len(plain) - before)
+        return out
+
+    monkeypatch.setattr(automata, "_plain_union", counted)
+    nfa = register_nfa(parse_expr("x.y+" + "+".join(f"l{j}" for j in range(1, 1000))))
+    assert len(nfa.states) == 1002 and sum(decided) == 999
 
 
 def test_register_nfa_compiles_the_2000_atom_sat_gadget():
@@ -434,7 +536,7 @@ def test_the_reduction_is_a_backward_bisimulation():
     assert merged > 100
 
 
-@pytest.mark.parametrize("i, states, merged", [(1, 5323, 2039), (2, 5723, 2159)])
+@pytest.mark.parametrize("i, states, merged", [(1, 2336, 874), (2, 2736, 994)])
 def test_the_pcp_deltas_reduce_to_a_backward_bisimulation(i, states, merged):
     nfa = register_nfa(pcp_delta(_PCP, i))
     assert _bisimulation_fault(nfa) is None

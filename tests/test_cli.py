@@ -239,6 +239,20 @@ def test_witness_subcommands():
     again = run(["witness", "--family", "mismatch", "--i", "1", "--n", "2",
                  "--count", "3", "--seed", "5"])[1]
     assert again == out
+    defaults = run(["witness", "--family", "mismatch", "--i", "1", "--n", "2"])
+    assert defaults == run(["witness", "--family", "mismatch", "--i", "1", "--n", "2", "--count", "1", "--seed", "0"])
+    assert defaults[0] == 0 and len(defaults[1].splitlines()) == 1
+
+
+@pytest.mark.parametrize("family, option, value", [
+    ("r", "--n", "2"), ("r", "--count", "-5"), ("r", "--count", "1"), ("r", "--seed", "0"),
+    ("u", "--count", "2"), ("u", "--seed", "3"),
+])
+def test_witness_rejects_an_option_its_family_does_not_read(family, option, value):
+    argv = ["witness", "--family", family, "--i", "1", option, value]
+    if family == "u":
+        argv += ["--n", "2"]
+    assert run(argv) == (1, "", f"error: {option} cannot be used with witness --family {family}\n")
 
 
 def test_gadget_sat_writes_files_and_manifest(tmp_path):
