@@ -29,14 +29,14 @@ for the hierarchical view.
   valuation); the language equals the expression's language for every
   compatible starting valuation. Its registers have one slot per free
   variable and one per binder nesting depth, which the binders at that
-  depth share. For the configuration searches it compiles each guard once
-  to a generated function of the register tuple, or for the layered search
-  of a set of numbered tuples, so a search runs without re-interpreting
-  guards, and it empties a binder's register at the moves where it dies
-  (no later guard reads it before a store), so runs that differ only in
-  dead values meet. For word membership it is reduced: ``reduced`` merges
-  the positions with equal pasts, which the copies of one prefix in many
-  arms of a union have.
+  depth share. For the configuration searches and word membership it
+  compiles each guard once to a generated function of the register tuple,
+  or for the layered search of a set of numbered tuples, so a run reads no
+  guard tree, and it empties a binder's register at the moves where it
+  dies (no later guard reads it before a store), so runs that differ only
+  in dead values meet. For word membership it is reduced first:
+  ``reduced`` merges the positions with equal pasts, which the copies of
+  one prefix in many arms of a union have.
 
 Both constructions require the input to be well-named (binder names
 pairwise distinct and disjoint from the free variables); ``alpha_rename``
@@ -113,11 +113,10 @@ class RegisterNfa(PositionAutomaton):
     variable to its slot. The free variables ``free`` take the first slots
     in sorted order, then each binder nesting depth takes one slot, shared
     by the binders at that depth (see ``register_nfa``). ``index``,
-    ``row_index``, ``mask_index`` and ``word_index`` are built on first
-    use, the last three in the forms the searches and ``member`` run:
-    ``row_index`` holds each row once under its number, the other two per
-    state with their rows shared the same way; see there for where
-    registers are cleared.
+    ``row_index`` and ``mask_index`` are built on first use, the last two
+    in the forms the searches and ``member`` run: ``row_index`` holds each
+    row once under its number, ``mask_index`` one row per state, shared
+    the same way; see there for where registers are cleared.
     """
 
     def __init__(self, labels, finals, succs, free, slot):
@@ -215,9 +214,11 @@ class RegisterNfa(PositionAutomaton):
 
     @cached_property
     def row_index(self):
-        """The rows by row number, for ``_search``: per letter, the entries
-        (row number of dst, whether dst is final, test, splice). States with
-        one row have one future, so the search keys configurations by row.
+        """The rows by row number, for ``_search`` and ``member``: per letter,
+        the entries (row number of dst, whether dst is final, test, splice).
+        States with one row have one future, so both key configurations by
+        row, and read acceptance from the entry of a move, since a row can
+        be shared by a final and a non-final state.
 
         ``test`` is the guard compiled over registers (None for no guard).
         ``splice`` is None when the move leaves the registers as they are;
@@ -227,7 +228,7 @@ class RegisterNfa(PositionAutomaton):
         that differ only in dead registers become one.
         """
         numbers, finals = self.row_numbers, self.finals
-        made = self._compiled_entries(E.compile_cond, self.liveness[1])
+        made = self._compiled_entries(E.compile_cond)
         made[1:] = [(numbers[dst], dst in finals, test, splice) for dst, test, splice in made[1:]]
         return list(dict(zip(numbers, self._rows(made))).values())
 
@@ -236,14 +237,7 @@ class RegisterNfa(PositionAutomaton):
         """Per state, the rows of ``row_index`` with entries (dst, mask,
         splice), each guard compiled by ``compile_mask`` to a set function
         over numbered register tuples, for the layered search."""
-        return self._rows(self._compiled_entries(E.compile_mask, self.liveness[1]))
-
-    @cached_property
-    def word_index(self):
-        """``mask_index`` with guards compiled by ``compile_cond`` and no
-        register emptied, for ``member``: a splice only stores. The runs on
-        one word meet few dead values, so this spares the liveness pass."""
-        return self._rows(self._compiled_entries(E.compile_cond, None))
+        return self._rows(self._compiled_entries(E.compile_mask))
 
     @cached_property
     def reduced(self):
@@ -271,14 +265,14 @@ class RegisterNfa(PositionAutomaton):
             self.slot,
         )
 
-    def _compiled_entries(self, compile_guard, clear):
+    def _compiled_entries(self, compile_guard):
         """Per position ``dst``, the entry (dst, compiled guard, splice), the
-        splice emptying the slots of ``clear[dst]`` (none if ``clear`` is
-        None), indexed from 1 like the states. A guard is compiled once per
-        object, and the positions with one slot plan, the slot stored and the
-        slots emptied, share one splice."""
+        splice emptying the slots of ``liveness``'s ``clear[dst]``, indexed
+        from 1 like the states. A guard is compiled once per object, and the
+        positions with one slot plan, the slot stored and the slots emptied,
+        share one splice."""
         width, slot = self.width, self.slot
-        clear = clear or [0] * len(self.states)
+        clear = self.liveness[1]
         tests, splices = {}, {}
         made = [None]
         for dst, (_letter, guard, store) in enumerate(self.labels, start=1):
@@ -362,53 +356,31 @@ def _past_classes(nfa):
 
 
 def _slot_keys(slot):
-    """A function from a node or condition to its key in slot form: two trees
-    get one key iff they are equal once each variable is replaced by its
-    slot. A node without variables is its own key, since nodes are
-    hash-consed; any other gets a number, made from its kind, letter, slot
-    and children's keys, and kept for later calls. The nodes to key are
-    listed parents first on an explicit stack, then keyed in reverse."""
-    keys, numbers = {}, {}
+    """A function from a condition to its slot form: the condition with each
+    variable replaced by its slot. Conditions are hash-consed, so two
+    conditions get one key exactly when they are equal in slot form. The
+    nodes are keyed children first on an explicit stack, and kept for later
+    calls."""
+    keys = {}
 
     def key(root):
-        made = keys.get(root)
-        if made is not None:
-            return made
-        todo, stack = [], [root]
+        stack = [root]
         while stack:
-            node = stack.pop()
-            kind = type(node)
-            if node in keys:
-                continue
-            if kind in _LEAVES:
-                keys[node] = numbers.setdefault((kind, slot[node.var]), len(numbers))
-            elif kind not in _CONDS and not (node.free or node.bound):
-                keys[node] = node
-            elif kind in _PAIRS:
-                todo.append(node)
-                stack += (node.left, node.right)
+            c = stack[-1]
+            kind = type(c)
+            if kind is E.Eq or kind is E.Neq:
+                keys[c] = kind(slot[c.var])
             else:
-                todo.append(node)
-                stack.append(node.cond if kind is E.Test else node.body)
-        for node in reversed(todo):
-            kind = type(node)
-            if kind in _PAIRS:
-                made = (kind, keys[node.left], keys[node.right])
-            elif kind is E.Test:
-                made = (kind, node.letter, keys[node.cond])
-            elif kind is E.Bind:
-                made = (kind, node.letter, slot[node.var], keys[node.body])
-            else:
-                made = (kind, keys[node.body])
-            keys[node] = numbers.setdefault(made, len(numbers))
+                parts = (c.body,) if kind is E.Not else (c.left, c.right)
+                todo = [k for k in parts if k not in keys]
+                if todo:
+                    stack += todo
+                    continue
+                keys[c] = kind(*[keys[k] for k in parts])
+            stack.pop()
         return keys[root]
 
     return key
-
-
-_LEAVES = frozenset((E.Eq, E.Neq))
-_CONDS = frozenset((E.Eq, E.Neq, E.Not, E.And, E.Or))
-_PAIRS = frozenset((E.Union, E.Concat, E.And, E.Or))
 
 
 def _require_well_named(e):

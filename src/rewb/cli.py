@@ -231,7 +231,7 @@ def _write_gadget(args, out: GadgetOutput):
 # Each gadget option's default, and the options that each kind reads. The
 # parser leaves every option None unless given, so one given to a kind that
 # does not read it is rejected, whatever its value.
-_GADGET_DEFAULTS = {"formula": "", "atoms": "", "k": 0, "blocks": "", "pairs": "", "seq": "", "i": 1,
+_GADGET_DEFAULTS = {"formula": "", "atoms": "", "k": None, "blocks": "", "pairs": "", "seq": "", "i": 1,
                     "allow_nonsolution": False, "out_graph": "", "out_expr": ""}
 _GADGET_FILES = ("out_graph", "out_expr")
 _GADGET_READS = {
@@ -271,7 +271,9 @@ def _cmd_gadget(args):
         blocks, weights = _blocks_arg(args.blocks)
         return _write_gadget(args, wqsat_reduction(WqsatInstance(parse_nnf(args.formula), blocks, weights)))
     composed = kind in ("exists", "forall")
-    if not args.atoms or composed and not args.k:
+    if args.k is not None and args.k < 1:
+        raise ValidationError(f"--k must be at least 1, got {args.k}")
+    if not args.atoms or composed and args.k is None:
         raise ValidationError(f"{kind} needs --atoms" + (" and --k" if composed else ""))
     atoms, phi = _atoms_arg(args.atoms), parse_nnf(args.formula)
     if kind == "sat":

@@ -30,8 +30,9 @@ other; pick by the question asked:
   that keep every binding on the unreduced NFA: the reference semantics.
 
 ``member`` and ``member_any`` run a word on the NFA's ``reduced`` quotient,
-which merges the positions with equal pasts, with compiled guards
-(``_member``); ``selftest`` checks them against a ``_step`` run.
+which merges the positions with equal pasts, through the rows that
+``_search`` reads (``_member``); ``selftest`` checks them against a
+``_step`` run.
 
 Every entry point but ``eval_stratified`` takes its register NFA from one
 cached compile step (``_compiled``); a tree that is not well-named is
@@ -101,25 +102,30 @@ def member(e: E.Rewb, w: DataWord, val=None) -> bool:
 
 def _member(nfa, w, val):
     """Runs ``w`` on ``nfa.reduced``: each letter maps the set of
-    configurations (state, register tuple) to the next through the compiled
-    tests and splices of its ``word_index``. Accepts, and raises, exactly
-    where ``_stepped`` does on ``nfa``: the classes of the quotient are
-    reached by the (word, register tuple) pairs that reach their members."""
+    configurations (row number, register tuple) to the next through the
+    tests and splices of its ``row_index``, as ``_search`` does. A row can
+    be shared by a final and a non-final state, so ``w`` is accepted when a
+    passing move of its last letter enters a final state. Accepts, and
+    raises, exactly where ``_stepped`` does on ``nfa``: the classes of the
+    quotient are reached by the (word, register tuple) pairs that reach
+    their members."""
     red = nfa.reduced
-    index = red.word_index
+    rows = red.row_index
     unset = E.UNSET
     configs = {(0, _registers(red, val))}
+    accepted = 0 in red.finals
     for letter, d in w:
         nxt = set()
-        for q, regs in configs:
-            for q2, test, splice in index[q].get(letter, ()):
+        accepted = False
+        for n, regs in configs:
+            for n2, final, test, splice in rows[n].get(letter, ()):
                 if test is None or test(d, regs):
-                    nxt.add((q2, regs if splice is None else splice(regs + (d, unset))))
+                    accepted = accepted or final
+                    nxt.add((n2, regs if splice is None else splice(regs + (d, unset))))
         if not nxt:
             return False
         configs = nxt
-    finals = red.finals
-    return any(q in finals for q, _ in configs)
+    return accepted
 
 
 def _stepped(nfa, w, val):

@@ -322,6 +322,21 @@ def test_liveness_agrees_with_a_search_for_the_next_read():
                 assert bool(live[q] >> i & 1) == found
 
 
+def test_slot_keys_are_equal_exactly_for_conditions_equal_in_slot_form():
+    key = automata._slot_keys({"x": 0, "y": 1, "p": 0, "q": 1})
+
+    def cond(text):
+        return parse_expr(f"a[{text}]").cond
+
+    assert key(cond("x= & ~(y!=)")) is key(cond("p= & ~(q!=)"))
+    assert key(cond("y= & ~(x!=)")) is not key(cond("x= & ~(y!=)"))
+    assert key(cond("x= | ~(y!=)")) is not key(cond("x= & ~(y!=)"))
+    # a 10,000-leaf And chain, keyed at the default recursion limit
+    chain = cond(" & ".join(["x=", "y!="] * 5_000))
+    assert key(chain) is key(cond(" & ".join(["p=", "q!="] * 5_000)))
+    assert key(chain) is not key(cond(" & ".join(["p=", "q!="] * 4_999 + ["p=", "q="])))
+
+
 def test_states_share_a_row_exactly_when_their_successor_sets_are_equal():
     rng = random.Random(103)
     shared = 0
@@ -330,7 +345,7 @@ def test_states_share_a_row_exactly_when_their_successor_sets_are_equal():
         nfa = register_nfa(e)
         distinct = set(nfa.succs)
         assert len({id(succ) for succ in nfa.succs}) == len(distinct)
-        for rows in (nfa.index, nfa.mask_index, nfa.word_index):
+        for rows in (nfa.index, nfa.mask_index):
             # one row per successor tuple and one successor tuple per row
             assert len({(succ, id(row)) for succ, row in zip(nfa.succs, rows)}) == len(distinct)
             assert len({id(row) for row in rows}) == len(distinct)

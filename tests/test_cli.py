@@ -355,6 +355,14 @@ def test_gadget_kinds_reject_missing_atoms_or_k(tmp_path, argv, missing):
     assert not (tmp_path / "g.graph").exists()
 
 
+@pytest.mark.parametrize("kind", ["formula", "exists", "forall"])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_gadget_kinds_reject_a_k_below_one(tmp_path, kind, k):
+    argv = ["gadget", kind, "--formula", "p1", "--atoms", "p1", "--k", k, "--out-graph", str(tmp_path / "g.graph")]
+    assert run(argv) == (1, "", f"error: --k must be at least 1, got {k}\n")
+    assert not (tmp_path / "g.graph").exists()
+
+
 def test_gadget_reports_where_a_formula_error_is():
     code, out, err = run(["gadget", "sat", "--formula", "p1 & (p2 | )", "--atoms", "p1,p2"])
     assert (code, out, err) == (1, "", "error: 1:12: unexpected token ')'\n")

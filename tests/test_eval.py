@@ -901,8 +901,19 @@ def test_connected_any_is_membership_in_eval_any():
         connected_any(parse_expr("a"), CYCLE, "n0", "nowhere")
 
 
+def test_member_reads_acceptance_from_the_move_not_the_row():
+    e = parse_expr("(a*.b)*")
+    red = _compiled(e).reduced
+    # the a position (state 1, not final) shares row 0 with the final state 0
+    assert red.row_numbers[1] == red.row_numbers[0] == 0
+    assert 0 in red.finals and 1 not in red.finals
+    for word, want in (([], True), ([("a", "1")], False), ([("a", "1"), ("b", "1")], True)):
+        assert member(e, word) is want, word
+        assert member_any(e, word) is want, word
+
+
 def test_member_under_a_starred_binder_of_ten_thousand_tests():
-    # the slot-form key of the star's body is made on an explicit stack
+    # compiling, reducing and running a 10,000-test body take no recursion per test
     e = parse_expr("(a@x(" + ".".join(["b[x=]"] * 10_000) + "))*")
     block = [("b", "1")] * 10_000
     assert member(e, [("a", "1")] + block + [("a", "2")] + [("b", "2")] * 10_000)
