@@ -19,8 +19,8 @@ for the hierarchical view.
   those blocks); an expression that is properly F-shaped gets SubExpr
   transitions over its maximal E-level blocks.
 
-* ``register_nfa`` (a ``RegisterNfa``, the position automaton with a move
-  row per state, stored once per distinct successor set) flattens
+* ``register_nfa`` (a ``RegisterNfa``, the position automaton with one
+  compiled move row per distinct successor set) flattens
   everything to guarded letter transitions with store actions: a binder
   contributes its head letter with a store, a conditioned letter its
   guard, and a maximal union of plain letters is one position, a character
@@ -91,7 +91,7 @@ class PositionAutomaton:
         """The (src, label, dst) tuples sorted by (src, dst), which is unique.
 
         Built from ``succs`` on each read and not kept, since the engines
-        read the per-state rows instead.
+        read the successor tuples or the move rows instead.
         """
         labels = self.labels
         return tuple((src, labels[dst - 1], dst) for src, succ in enumerate(self.succs) for dst in succ)
@@ -102,21 +102,19 @@ class RegisterNfa(PositionAutomaton):
 
     A label is (letters, guard, store): the sorted tuple of the letters that
     read the position (one, or a class's), ``guard`` a Condition or None
-    (always true) and ``store`` a variable or None. ``index[state]`` maps
-    each letter to the entries (guard, store, dst) of the moves out of
-    ``state`` on it, in transition order, which ``moves`` returns. All arcs
-    into a position share its one entry, under each of its letters, and
-    states with equal successor sets share one row: an entry depends only
-    on its destination. ``row_numbers`` numbers the distinct rows.
+    (always true) and ``store`` a variable or None. A move into a position
+    reads one of its letters, tests its guard and makes its store, so the
+    interpreted readers walk ``succs`` and ``labels`` as they are. States
+    with equal successor sets share one row of moves, and ``row_numbers``
+    numbers the distinct rows.
 
     Registers are a tuple of ``width`` slots, and ``slot`` maps each
     variable to its slot. The free variables ``free`` take the first slots
     in sorted order, then each binder nesting depth takes one slot, shared
-    by the binders at that depth (see ``register_nfa``). ``index``,
-    ``row_index`` and ``mask_index`` are built on first use, the last two
-    in the forms the searches and ``member`` run: ``row_index`` holds each
-    row once under its number, ``mask_index`` one row per state, shared
-    the same way; see there for where registers are cleared.
+    by the binders at that depth (see ``register_nfa``). ``row_index`` and
+    ``mask_index`` are built on first use, in the forms the searches and
+    ``member`` run, each a list of one row per row number; see there for
+    where registers are cleared.
     """
 
     def __init__(self, labels, finals, succs, free, slot):
@@ -131,30 +129,19 @@ class RegisterNfa(PositionAutomaton):
         return tuple((src, (letter, guard, store), dst)
                      for src, (letters, guard, store), dst in super().transitions for letter in letters)
 
-    @cached_property
-    def index(self):
-        entries = [(guard, store, dst) for dst, (_, guard, store) in enumerate(self.labels, start=1)]
-        return self._rows([None, *entries])
-
     def _rows(self, entry):
-        """Per state, the row ``{letter: (entry[dst] for each successor dst
-        the letter reads)}``; states with equal successor tuples share a row."""
+        """Per row number, the row ``{letter: (entry[dst] for each successor
+        dst the letter reads)}`` of the states with that successor tuple."""
         labels = self.labels
-        rows = {}
         out = []
-        for succ in self.succs:
-            row = rows.get(succ)
-            if row is None:
+        for n, succ in zip(self.row_numbers, self.succs):
+            if n == len(out):  # the first state with this row
                 moves = {}
                 for dst in succ:
                     for letter in labels[dst - 1][0]:
                         moves.setdefault(letter, []).append(entry[dst])
-                row = rows[succ] = {letter: tuple(ms) for letter, ms in moves.items()}
-            out.append(row)
+                out.append({letter: tuple(ms) for letter, ms in moves.items()})
         return out
-
-    def moves(self, state, letter):
-        return self.index[state].get(letter, ())
 
     @cached_property
     def liveness(self):
@@ -230,11 +217,11 @@ class RegisterNfa(PositionAutomaton):
         numbers, finals = self.row_numbers, self.finals
         made = self._compiled_entries(E.compile_cond)
         made[1:] = [(numbers[dst], dst in finals, test, splice) for dst, test, splice in made[1:]]
-        return list(dict(zip(numbers, self._rows(made))).values())
+        return self._rows(made)
 
     @cached_property
     def mask_index(self):
-        """Per state, the rows of ``row_index`` with entries (dst, mask,
+        """The rows of ``row_index`` by row number with entries (dst, mask,
         splice), each guard compiled by ``compile_mask`` to a set function
         over numbered register tuples, for the layered search."""
         return self._rows(self._compiled_entries(E.compile_mask))

@@ -24,6 +24,7 @@ def determinize(e: E.Rewb, alphabet, state_budget: int = 64):
         if isinstance(node, (E.Test, E.Bind)):
             raise ValidationError("determinize expects a data-free expression")
     nfa = register_nfa(e)
+    succs, labels = nfa.succs, nfa.labels
     start = frozenset((0,))
     ids = {start: 0}
     order = [start]
@@ -33,14 +34,10 @@ def determinize(e: E.Rewb, alphabet, state_budget: int = 64):
         current = order[pos]
         pos += 1
         for letter in alphabet:
-            succ = frozenset(
-                dst for q in current for _g, _s, dst in nfa.moves(q, letter)
-            )
+            succ = frozenset(dst for q in current for dst in succs[q] if letter in labels[dst - 1][0])
             if succ not in ids:
                 if len(ids) >= state_budget:
-                    raise BudgetError(
-                        f"subset construction exceeded {state_budget} states"
-                    )
+                    raise BudgetError(f"subset construction exceeded {state_budget} states")
                 ids[succ] = len(order)
                 order.append(succ)
             transitions[(ids[current], letter)] = ids[succ]

@@ -26,8 +26,9 @@ other; pick by the question asked:
 
 * ``eval_oracle`` searches data paths breadth-first up to a length bound,
   merging prefixes that reach one node with one set of configurations. It
-  steps them with ``_step``, which interprets guards over dict valuations
-  that keep every binding on the unreduced NFA: the reference semantics.
+  steps them with ``_step``, which reads the unreduced NFA's successors
+  and labels, not its compiled rows, and interprets guards over dict
+  valuations that keep every binding: the reference semantics.
 
 ``member`` and ``member_any`` run a word on the NFA's ``reduced`` quotient,
 which merges the positions with equal pasts, through the rows that
@@ -143,14 +144,16 @@ def _step(nfa, configs, letter, d):
     """The configurations that reading ``letter`` with value ``d`` leads to.
 
     ``configs`` maps each configuration (state, valuation key) to its
-    valuation, a dict that holds every binding made; guards are interpreted
-    over it by ``satisfies``, the reference for the compiled searches.
+    valuation, a dict that holds every binding made. It reads ``succs`` and
+    ``labels``, none of the compiled rows, and interprets guards over the
+    valuation by ``satisfies``: the reference for the compiled searches.
     """
-    index = nfa.index
+    succs, labels = nfa.succs, nfa.labels
     nxt = {}
     for (q, vk), v in configs.items():
-        for guard, store, q2 in index[q].get(letter, ()):
-            if guard is None or E.satisfies(guard, d, v):
+        for q2 in succs[q]:
+            letters, guard, store = labels[q2 - 1]
+            if letter in letters and (guard is None or E.satisfies(guard, d, v)):
                 if store is None:
                     nxt.setdefault((q2, vk), v)
                 else:
@@ -350,24 +353,25 @@ def _layered(nfa, adj, val, start, parents):
     it is reached in a final state; a caller resumes it only as far as it
     needs. The search runs in strict layers: a layer merges every tuple that
     reaches an entry in it before the next layer expands that entry, so each
-    (node, state, tuple) is reached first after its fewest edges. A move's
-    guard is one call of its ``mask_index`` set function on all new tuples
-    of the entry; a splice maps the tuples it keeps one by one through the
-    numbering. ``buckets`` holds, per slot, the bitset of the indexed tuples
-    of each value, and ``synced`` the indexed tuples. A tuple is indexed
-    only just before a mask first runs on a set holding it, lowest number
-    first, so the many tuples that a splice makes and no guard ever tests
-    are never indexed. A mask reads the buckets only within its set, so it
-    answers as it would on fully indexed buckets, and raises where it would.
-    Every entry that gains tuples appends a record (entry, new tuples,
-    parent entry, edge, origin) to the list ``parents``, where ``origin``
-    maps each new tuple number to the one it was spliced from, or is None
-    when the move keeps the tuples. When a node is yielded, the last record
-    holds the final entry that reached it, and none does for ``start`` in
-    the initial state. Which layer reaches an entry does not depend on how
-    far the caller resumes, so neither do the records.
+    (node, state, tuple) is reached first after its fewest edges. A move
+    comes from the ``mask_index`` row of its state's row number, and its
+    guard is one call of its set function on all new tuples of the entry; a
+    splice maps the tuples it keeps one by one through the numbering.
+    ``buckets`` holds, per slot, the bitset of the indexed tuples of each
+    value, and ``synced`` the indexed tuples. A tuple is indexed only just
+    before a mask first runs on a set holding it, lowest number first, so
+    the many tuples that a splice makes and no guard ever tests are never
+    indexed. A mask reads the buckets only within its set, so it answers as
+    it would on fully indexed buckets, and raises where it would. Every
+    entry that gains tuples appends a record (entry, new tuples, parent
+    entry, edge, origin) to the list ``parents``, where ``origin`` maps each
+    new tuple number to the one it was spliced from, or is None when the
+    move keeps the tuples. When a node is yielded, the last record holds the
+    final entry that reached it, and none does for ``start`` in the initial
+    state. Which layer reaches an entry does not depend on how far the
+    caller resumes, so neither do the records.
     """
-    finals = nfa.finals
+    finals, numbers = nfa.finals, nfa.row_numbers
     index = nfa.mask_index
     unset = E.UNSET
     regs = _registers(nfa, val)
@@ -385,7 +389,7 @@ def _layered(nfa, adj, val, start, parents):
         nxt = {}
         for key, bits in layer.items():
             node, q = key
-            out = index[q]
+            out = index[numbers[q]]
             fresh = bits & ~synced
             for edge in adj[node]:
                 entries = out.get(edge[1])
@@ -619,8 +623,9 @@ def eval_oracle(
     caps the number of explored classes; exceeding it raises BudgetError
     rather than returning a truncated result.
     """
-    if max_len is not None and max_len < 0:
-        raise ValidationError(f"max_len must be at least 0, got {max_len}")
+    for name, bound in (("max_len", max_len), ("budget", budget)):
+        if bound is not None and bound < 0:
+            raise ValidationError(f"{name} must be at least 0, got {bound}")
     val = dict(val or {})
     nfa = _checked_nfa(e, val)
     if max_len is None:

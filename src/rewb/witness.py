@@ -141,11 +141,13 @@ def mismatch_harness(e: E.Rewb, n: int, x: DataWord, z: DataWord, val, budget: i
     If ``e`` accepts x · u_word(i, n) · z (with i the E-level of ``e``),
     up to ``budget`` mismatch samples are tried in its place. Finding one
     is a confirmation; exhausting the budget is inconclusive, never a
-    refutation, since the mismatch family is infinite. A warning is set
-    when ``n`` is not strictly larger than automaton size + 1 and variable
-    count + 1 for every sub-expression, the regime the separation
-    statement assumes.
+    refutation, since the mismatch family is infinite. A budget of 0 tries
+    none. A warning is set when ``n`` is not strictly larger than automaton
+    size + 1 and variable count + 1 for every sub-expression, the regime
+    the separation statement assumes.
     """
+    if budget < 0:
+        raise ValidationError(f"budget must be at least 0, got {budget}")
     val = dict(val or {})
     renamed = E.alpha_rename(e)
     warn = any(
@@ -156,7 +158,7 @@ def mismatch_harness(e: E.Rewb, n: int, x: DataWord, z: DataWord, val, budget: i
     if not member(e, tuple(x) + u_word(i, n) + tuple(z), val):
         return HarnessReport(False, False, None, warn, 0)
     checked = 0
-    for sample_id, sample in enumerate(mismatch_samples(i, n, budget, seed=0)):
+    for sample_id, sample in enumerate(mismatch_samples(i, n, budget, seed=0) if budget else ()):
         checked += 1
         if member(e, tuple(x) + sample + tuple(z), val):
             return HarnessReport(True, True, sample_id, warn, checked)

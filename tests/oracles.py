@@ -6,8 +6,9 @@ answer: a grammar-derivation search for levels, tree walks for the
 variable facts that nodes carry, membership by structural recursion on the
 expression tree, and query evaluation by literal enumeration of all short
 walks. Witness lengths come from a layered search that takes the register
-NFA but not the search kernel: it keeps dict valuations and interprets
-guards with ``satisfies``.
+NFA but not the search kernel or its compiled move rows: it walks the
+successor tuples and labels, keeps dict valuations and interprets guards
+with ``satisfies``.
 """
 
 from __future__ import annotations
@@ -213,8 +214,9 @@ def shortest_witness_length(e, g, val, u, v):
         nxt = {}
         for (node, q, _), cur in layer.items():
             for _, letter, d, dst in adj[node]:
-                for guard, store, q2 in nfa.moves(q, letter):
-                    if guard is not None and not E.satisfies(guard, d, cur):
+                for q2 in nfa.succs[q]:
+                    letters, guard, store = nfa.labels[q2 - 1]
+                    if letter not in letters or guard is not None and not E.satisfies(guard, d, cur):
                         continue
                     new = cur if store is None else {**cur, store: d}
                     key = (dst, q2, tuple(sorted(new.items())))
@@ -245,8 +247,9 @@ def reachable_finals(e, g, val, u):
         key = todo.pop()
         cur = seen[key]
         for _, letter, d, dst in adj[key[0]]:
-            for guard, store, q2 in nfa.moves(key[1], letter):
-                if guard is not None and not E.satisfies(guard, d, cur):
+            for q2 in nfa.succs[key[1]]:
+                letters, guard, store = nfa.labels[q2 - 1]
+                if letter not in letters or guard is not None and not E.satisfies(guard, d, cur):
                     continue
                 new = cur if store is None else {**cur, store: d}
                 k2 = (dst, q2, tuple(sorted(new.items())))

@@ -205,7 +205,7 @@ def test_register_nfa_guard_variables_are_free_or_binders():
 def test_register_nfa_index_matches_the_full_sort_key():
     # The destination fixes a transition's label, so the order the position
     # construction emits, by (src, dst), must be that of the full key in
-    # both views' transition lists, and so in every move list.
+    # both views' transition lists, and so in every compiled move list.
     rng = random.Random(21)
     for _ in range(300):
         renamed = E.alpha_rename(random_expr(rng, 12, letters=("a", "b", "c")))
@@ -222,12 +222,13 @@ def test_register_nfa_index_matches_the_full_sort_key():
             nfa.transitions, key=lambda t: (t[0], t[1][0], t[2], repr(t[1][1]), repr(t[1][2]))
         ):
             full.setdefault((src, letter), []).append((guard, store, dst))
+        rows, numbers = nfa.mask_index, nfa.row_numbers
         for (src, letter), moves in full.items():
-            assert [m[:3] for m in nfa.moves(src, letter)] == moves
+            assert [(*nfa.labels[m[0] - 1][1:], m[0]) for m in rows[numbers[src]][letter]] == moves
         assert sum(map(len, full.values())) == len(nfa.transitions)
         # one arc per letter of the destination's class
-        rebuilt = sorted(((src, (letter, *nfa.labels[m[2] - 1][1:]), m[2]) for src, row in enumerate(nfa.index)
-                          for letter, ms in row.items() for m in ms), key=lambda t: (t[0], t[2], t[1][0]))
+        rebuilt = sorted(((src, (letter, *nfa.labels[m[0] - 1][1:]), m[0]) for src, n in enumerate(numbers)
+                          for letter, ms in rows[n].items() for m in ms), key=lambda t: (t[0], t[2], t[1][0]))
         assert nfa.transitions == tuple(rebuilt)
 
 def test_register_nfa_examples():
@@ -345,20 +346,22 @@ def test_states_share_a_row_exactly_when_their_successor_sets_are_equal():
         nfa = register_nfa(e)
         distinct = set(nfa.succs)
         assert len({id(succ) for succ in nfa.succs}) == len(distinct)
-        for rows in (nfa.index, nfa.mask_index):
-            # one row per successor tuple and one successor tuple per row
-            assert len({(succ, id(row)) for succ, row in zip(nfa.succs, rows)}) == len(distinct)
-            assert len({id(row) for row in rows}) == len(distinct)
         # row numbers: equal exactly for equal successor tuples, first-seen
-        # order from state 0, and row_index holds each row once under its number
+        # order from state 0
         numbers = nfa.row_numbers
         assert len({(succ, n) for succ, n in zip(nfa.succs, numbers)}) == len(distinct)
         assert list(dict.fromkeys(numbers)) == list(range(len(distinct)))
-        assert len(nfa.row_index) == len(distinct)
-        for n, row in zip(numbers, nfa.index):
+        # both compiled tables hold one row per successor tuple, under its
+        # number, with the moves of each letter in successor order
+        assert len(nfa.row_index) == len(nfa.mask_index) == len(distinct)
+        for succ, n in zip(nfa.succs, numbers):
+            moves = {}
+            for dst in succ:
+                for letter in nfa.labels[dst - 1][0]:
+                    moves.setdefault(letter, []).append(dst)
+            assert {letter: [entry[0] for entry in entries] for letter, entries in nfa.mask_index[n].items()} == moves
             assert {letter: [entry[:2] for entry in entries] for letter, entries in nfa.row_index[n].items()} == {
-                letter: [(numbers[dst], dst in nfa.finals) for _guard, _store, dst in entries]
-                for letter, entries in row.items()
+                letter: [(numbers[dst], dst in nfa.finals) for dst in dsts] for letter, dsts in moves.items()
             }
         shared += len(distinct) < len(nfa.states)
     assert shared > 100
@@ -370,7 +373,7 @@ _PCP = PcpInstance((("a", "ab"), ("bb", "b")))
 def test_a_pcp_delta_stores_few_distinct_rows():
     nfa = register_nfa(pcp_delta(_PCP, 1))
     assert len(nfa.states) == 2336
-    assert len({id(row) for row in nfa.index}) <= 1600
+    assert len(nfa.row_index) <= 1600
 
 
 @pytest.mark.parametrize("i", [1, 2])

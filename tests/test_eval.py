@@ -296,6 +296,15 @@ def test_eval_oracle_budget_errors_loudly():
         eval_oracle(e, CYCLE, {}, budget=1)
 
 
+def test_eval_oracle_rejects_a_budget_below_zero():
+    e = parse_expr("(a@x(b[x=]))*")
+    with pytest.raises(ValidationError, match="budget must be at least 0, got -1"):
+        eval_oracle(e, CYCLE, {}, budget=-1)
+    with pytest.raises(BudgetError):  # a budget of 0 admits no class past the first
+        eval_oracle(e, CYCLE, {}, budget=0)
+    assert eval_oracle(e, graph([], nodes=["u"]), {}, budget=0) == {("u", "u")}
+
+
 def test_eval_any_examples():
     g = graph([("u", "a", "5", "v")])
     assert eval_any(parse_expr("a[x=]"), g) == {("u", "v")}
@@ -633,7 +642,7 @@ def test_a_search_that_raises_leaves_no_memo_and_the_next_call_answers(monkeypat
     e = parse_expr("a+a.b[x=]")
     nfa = _compiled(e)
     raised = []
-    for q, out in enumerate(nfa.mask_index):
+    for out in nfa.mask_index:
         if "b" in out:
             (dst, mask, splice), = out["b"]
 
@@ -883,6 +892,39 @@ def test_eval_oracle_steps_the_unreduced_nfa(monkeypatch):
     monkeypatch.setattr(RegisterNfa, "reduced", property(unbuilt))
     e = parse_expr("(a@x(b[x=]))*")
     assert eval_oracle(e, CYCLE) == eval_flat(e, CYCLE)
+
+
+@pytest.fixture
+def dropped_moves(monkeypatch):
+    """A planted fault in the compiled move tables: ``_rows`` drops the last
+    move of every letter that has two or more."""
+    rows = RegisterNfa._rows
+
+    def faulty(nfa, entry):
+        return [{letter: ms[:-1] if len(ms) > 1 else ms for letter, ms in row.items()}
+                for row in rows(nfa, entry)]
+
+    monkeypatch.setattr(RegisterNfa, "_rows", faulty)
+    _compiled.cache_clear()
+    yield
+    _compiled.cache_clear()
+
+
+def test_the_references_catch_a_fault_in_the_compiled_rows(dropped_moves):
+    # the instances of selftest seed 0: the oracle and _stepped read the
+    # automaton itself, so they disagree with the kernels they check
+    rng, words = random.Random(0), random.Random("words 0")
+    flat_caught, member_caught = [], []
+    for case in range(40):
+        e = random_expr(rng, 8, max_e_level=2)
+        g = random_graph(rng)
+        val = random_valuation(rng, sorted(E.free_vars(e)), sorted(g.data_values()))
+        w = random_word(words, 6)
+        if eval_flat(e, g, val) != eval_oracle(e, g, val):
+            flat_caught.append(case)
+        if member(e, w, val) != _stepped(_compiled(e), w, dict(val)):
+            member_caught.append(case)
+    assert flat_caught[:1] == [18] and member_caught[:1] == [7]
 
 
 def test_connected_any_is_membership_in_eval_any():

@@ -1,8 +1,13 @@
 """Correspondence-problem encodings and the non-solution expression."""
 
+import itertools
+import random
+
 import pytest
 
-from rewb import classify, member_any
+import rewb.expr as E
+from rewb import classify, member, member_any
+from rewb.classical import complement_regex
 from rewb.errors import BudgetError, ValidationError
 from rewb.pcp import (
     MUTATION_KINDS,
@@ -12,6 +17,8 @@ from rewb.pcp import (
     pcp_encode,
     pcp_mutate,
 )
+from rewb.randgen import random_expr
+from rewb.syntax import parse_expr
 
 SOLVABLE = PcpInstance((("ab", "a"), ("c", "bc")))
 UNSOLVABLE = PcpInstance((("a", "aa"),))
@@ -95,6 +102,22 @@ def test_mutate_rejects_unknown_kinds_and_bad_words():
 def test_complement_budget_errors_loudly():
     with pytest.raises(BudgetError):
         pcp_delta(SOLVABLE, 1, state_budget=2)
+
+
+def test_a_complement_partitions_the_words_with_its_expression():
+    rng = random.Random(7)
+    words = [tuple((letter, "1") for letter in letters)
+             for n in range(6) for letters in itertools.product("ab", repeat=n)]
+    drawn = 0
+    while drawn < 200:
+        e = random_expr(rng, 8, letters=("a", "b"))
+        if any(isinstance(node, (E.Test, E.Bind)) for node in E.subexpressions(e)):
+            continue
+        drawn += 1
+        comp = complement_regex(e, ("a", "b"))
+        for w in words:
+            assert member(e, w) != (comp is not None and member(comp, w)), (e, w)
+    assert complement_regex(parse_expr("(a+b)*"), ("a", "b")) is None
 
 
 def test_level2_delta():

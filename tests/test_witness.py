@@ -96,3 +96,17 @@ def test_harness_inconclusive_below_the_size_bound():
     report = mismatch_harness(e, 1, (), (), {}, budget=4)
     assert report.hypothesis_held and not report.mismatch_found
     assert report.size_warning and report.checked == 4
+
+
+def test_harness_rejects_a_budget_below_zero():
+    # whether or not the hypothesis holds
+    for text in ("a1@y(b1[y=]).(a1+b1)*", "a1"):
+        with pytest.raises(ValidationError, match="budget must be at least 0, got -1"):
+            mismatch_harness(parse_expr(text), 6, (), (), {}, budget=-1)
+
+
+def test_harness_with_a_budget_of_zero_tries_no_sample():
+    e = parse_expr("a1@y(b1[y=]).(a1+b1)*")
+    assert mismatch_harness(e, 6, (), (), {}, budget=0) == HarnessReport(
+        hypothesis_held=True, mismatch_found=False, sample_id=None, size_warning=False, checked=0
+    )
