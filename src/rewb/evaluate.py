@@ -532,7 +532,7 @@ def _strat(e, t, u, adj, memo, tests):
     while todo:
         node, q, t = todo.pop()
         binds, subs = rows[q]
-        for letter, k, q2 in binds:
+        for letter, k, q2 in binds:  # never into a final state: a SubExpr follows
             for d, dst in adj[node].get(letter, ()):
                 t2 = t[:k] + (d,) + t[k + 1:]
                 k2 = (q2, t2)
@@ -541,8 +541,6 @@ def _strat(e, t, u, adj, memo, tests):
                 if not old & bit:
                     seen[k2] = old | bit
                     todo.append((dst, q2, t2))
-                    if q2 in finals:
-                        row |= bit
         for block, pick, q2 in subs:
             k2 = (q2, t)
             old = seen.get(k2, 0)

@@ -11,7 +11,9 @@ d1, d2 are pairwise distinct.
 ``pcp_delta`` builds the expression accepting exactly the words of this
 shape that are NOT such encodings, as a sum of violation families:
 
-1. the letter projection of a side is wrong (classical complement),
+1. the letter projection of a side is wrong: it lies outside the side's
+   code ``C* = (dollar_1 w_1 + ... + dollar_m w_m)*``, written out as
+   ``C*`` followed by a rest that starts with no code word,
 2. a hash value repeats elsewhere,
 3. a data value repeats on one side of the hash-z-hash core,
 4. the first, last or an intermediate dollar value differs across sides,
@@ -32,7 +34,6 @@ import random
 from dataclasses import dataclass
 
 from . import expr as E
-from .classical import complement_regex
 from .data import DataWord
 from .errors import ValidationError
 from .gadgets import concat_all, union_all
@@ -186,8 +187,32 @@ def pcp_mutate(w: DataWord, kind: str, seed: int) -> DataWord:
     return tuple(word)
 
 
-def pcp_delta(inst: PcpInstance, i: int, *, state_budget: int = 64,
-              node_budget: int = 200_000) -> E.Rewb:
+def _wrong_shape(inst: PcpInstance, side: int) -> E.Rewb:
+    """The words over the delta's letters outside the code ``C*`` of a side.
+
+    Each dollar starts exactly one code word, so a word splits in one way
+    only into a longest prefix in ``C*`` and a rest, and it lies outside
+    ``C*`` exactly when the rest is nonempty and starts with no code word:
+    with a letter or hash, or with ``dollar_j`` and a proper prefix of
+    ``w_j`` that ends the word or goes on with a letter other than the next
+    of ``w_j``.
+    """
+    sigma, dollars = inst.sigma, inst.dollars()
+    gamma = sigma + dollars + [HASH]
+    gamma_star = E.Star(union_all([E.Atom(l) for l in gamma]))
+    words = [pair[side] for pair in inst.pairs]
+    code = E.Star(union_all([concat_all([E.Atom(dollar)] + [E.Atom(ch) for ch in word])
+                             for dollar, word in zip(dollars, words)]))
+    rests = [E.Concat(union_all([E.Atom(l) for l in sigma + [HASH]]), gamma_star)]
+    for dollar, word in zip(dollars, words):
+        for k, ch in enumerate(word):
+            other = union_all([E.Atom(l) for l in gamma if l != ch])
+            rests.append(concat_all([E.Atom(dollar)] + [E.Atom(c) for c in word[:k]]
+                                    + [E.Union(E.EPS, E.Concat(other, gamma_star))]))
+    return E.Concat(code, union_all(rests))
+
+
+def pcp_delta(inst: PcpInstance, i: int) -> E.Rewb:
     """The expression accepting exactly the non-encoding-shaped words, well-named as built."""
     if i < 1:
         raise ValidationError("level must be at least 1")
@@ -201,14 +226,7 @@ def pcp_delta(inst: PcpInstance, i: int, *, state_budget: int = 64,
     gamma = sigma + dollars + [HASH]
     hash_atom = E.Atom(HASH)
     gamma_star = E.Star(union_all([E.Atom(l) for l in gamma]))
-    sigma_star = E.Star(union_all([E.Atom(l) for l in sigma]))
-
-    def shape(side):
-        branches = []
-        for dollar, pair in zip(dollars, inst.pairs):
-            parts = [E.Atom(dollar)] + [E.Atom(ch) for ch in pair[side]]
-            branches.append(concat_all(parts))
-        return E.Star(union_all(branches))
+    sigma_star = E.Star(union_all([E.Atom(l) for l in sigma])) if sigma else E.EPS
 
     arms = []
 
@@ -219,14 +237,9 @@ def pcp_delta(inst: PcpInstance, i: int, *, state_budget: int = 64,
         arms.append(build(f"x{tag}", f"y{tag}", _r_expr(i, tag)))
 
     # 1. wrong letter projection on a side
-    for side, spot in ((0, "left"), (1, "right")):
-        wrong = complement_regex(shape(side), gamma, state_budget, node_budget)
-        if wrong is None:
-            continue
-        if spot == "left":
-            arm(lambda x, y, r: concat_all([wrong, hash_atom, r, hash_atom, gamma_star]))
-        else:
-            arm(lambda x, y, r: concat_all([gamma_star, hash_atom, r, hash_atom, wrong]))
+    left, right = _wrong_shape(inst, 0), _wrong_shape(inst, 1)
+    arm(lambda x, y, r: concat_all([left, hash_atom, r, hash_atom, gamma_star]))
+    arm(lambda x, y, r: concat_all([gamma_star, hash_atom, r, hash_atom, right]))
 
     # 2. a hash value repeats elsewhere (first the value before z, then after)
     for letter in gamma:

@@ -474,10 +474,13 @@ def test_gadget_pcp_commands(tmp_path):
                 "--i", "1"])[1].strip()
     verdict = run(["member", "--expr", "@" + str(expr_file), "--word", word, "--any"])[1]
     assert verdict == "false\n"
-    # the missing output file is reported before the delta is built, which
-    # here would exceed the subset construction's state budget
+    # the missing output file is reported before the delta is built
     code, out, err = run(["gadget", "pcp-delta", "--pairs", "a" * 70 + "/b", "--i", "1"])
     assert code == 1 and out == "" and "pcp-delta needs --out-expr" in err
+    for pairs in ("a" * 70 + "/b", "/"):
+        code, out, err = run(["gadget", "pcp-delta", "--pairs", pairs, "--i", "1",
+                              "--out-expr", str(expr_file)])
+        assert (code, out, err) == (0, "free-vars -\n", ""), pairs
 
 
 def test_selftest_reports_ok():

@@ -1,23 +1,21 @@
 """Correspondence-problem encodings and the non-solution expression."""
 
 import itertools
-import random
 
 import pytest
 
-import rewb.expr as E
 from rewb import classify, member, member_any
-from rewb.classical import complement_regex
-from rewb.errors import BudgetError, ValidationError
+from rewb.errors import ValidationError
 from rewb.pcp import (
+    HASH,
     MUTATION_KINDS,
     PcpInstance,
+    _wrong_shape,
     pcp_check_solution,
     pcp_delta,
     pcp_encode,
     pcp_mutate,
 )
-from rewb.randgen import random_expr
 from rewb.syntax import parse_expr
 
 SOLVABLE = PcpInstance((("ab", "a"), ("c", "bc")))
@@ -99,25 +97,40 @@ def test_mutate_rejects_unknown_kinds_and_bad_words():
         pcp_mutate((("a", "1"),), "letter-shape", 0)
 
 
-def test_complement_budget_errors_loudly():
-    with pytest.raises(BudgetError):
-        pcp_delta(SOLVABLE, 1, state_budget=2)
-
-
-def test_a_complement_partitions_the_words_with_its_expression():
-    rng = random.Random(7)
+@pytest.mark.parametrize("pairs", [
+    (("a", "a"),),
+    (("a", "ab"), ("bb", "b")),
+    (("ab", "a"), ("c", "bc")),
+    (("a", "b"), ("b", "a")),
+    (("", "ab"), ("ba", "")),
+])
+def test_a_wrong_shape_and_its_code_split_the_short_words(pairs):
+    inst = PcpInstance(pairs)
+    gamma = inst.sigma + inst.dollars() + [HASH]
     words = [tuple((letter, "1") for letter in letters)
-             for n in range(6) for letters in itertools.product("ab", repeat=n)]
-    drawn = 0
-    while drawn < 200:
-        e = random_expr(rng, 8, letters=("a", "b"))
-        if any(isinstance(node, (E.Test, E.Bind)) for node in E.subexpressions(e)):
-            continue
-        drawn += 1
-        comp = complement_regex(e, ("a", "b"))
+             for n in range(5) for letters in itertools.product(gamma, repeat=n)]
+    for side in (0, 1):
+        code = parse_expr("(" + "+".join(
+            ".".join([dollar, *pair[side]]) for dollar, pair in zip(inst.dollars(), pairs)) + ")*")
+        wrong = _wrong_shape(inst, side)
         for w in words:
-            assert member(e, w) != (comp is not None and member(comp, w)), (e, w)
-    assert complement_regex(parse_expr("(a+b)*"), ("a", "b")) is None
+            assert member(code, w) != member(wrong, w), (side, w)
+
+
+def test_a_delta_builds_for_long_pair_words():
+    for pairs in ((("a" * 70, "b"),), (("a" * 31, "b"), ("a" * 31, "c"))):
+        inst = PcpInstance(pairs)
+        delta = pcp_delta(inst, 1)
+        assert member_any(delta, pcp_encode(inst, [1], 1, allow_nonsolution=True))
+
+
+def test_a_delta_of_empty_pair_words_has_no_letters_to_star():
+    inst = PcpInstance((("", ""),))
+    delta = pcp_delta(inst, 1)
+    encoding = pcp_encode(inst, [1], 1)
+    assert not member_any(delta, encoding)
+    for kind in ("repeated-hash-value", "dollar-value-mismatch"):
+        assert member_any(delta, pcp_mutate(encoding, kind, seed=0)), kind
 
 
 def test_level2_delta():
