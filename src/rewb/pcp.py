@@ -23,14 +23,17 @@ shape that are NOT such encodings, as a sum of violation families:
 The empty index sequence is not considered a solution; consistently, the
 encoding-shaped word with empty thetas is accepted by no family.
 
-Reserved letters are spelled ``hash``, ``dollar1``..``dollarN`` and the
-witness letters a1/b1/... of the embedded level expression; instance
-alphabets must stay clear of them.
+Instance letters are single characters of ``[A-Za-z_]``, so that encodings
+print and parse back; the reserved letters ``hash``, ``dollar1``..``dollarN``
+and the witness letters a1/b1/... of the embedded level expression are all
+longer, and no instance letter can clash with them.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+import string
 from dataclasses import dataclass
 
 from . import expr as E
@@ -40,6 +43,7 @@ from .gadgets import concat_all, union_all
 from .witness import _r_expr, u_word
 
 HASH = "hash"
+_LETTERS = string.ascii_letters + "_"
 
 
 @dataclass(frozen=True)
@@ -51,8 +55,7 @@ class PcpInstance:
             raise ValidationError("a correspondence instance needs at least one pair")
         for u, v in self.pairs:
             for ch in u + v:
-                # single-character identifiers so encodings print and re-parse
-                if not (ch.isalpha() or ch == "_"):
+                if ch not in _LETTERS:
                     raise ValidationError(f"invalid alphabet letter {ch!r}")
 
     @property
@@ -61,15 +64,6 @@ class PcpInstance:
 
     def dollars(self):
         return [f"dollar{j}" for j in range(1, len(self.pairs) + 1)]
-
-
-def _reserved_letters(inst, i):
-    out = {HASH}
-    out.update(inst.dollars())
-    for level in range(1, i + 1):
-        out.add(f"a{level}")
-        out.add(f"b{level}")
-    return out
 
 
 def pcp_check_solution(inst: PcpInstance, seq) -> bool:
@@ -104,7 +98,8 @@ def pcp_encode(inst: PcpInstance, seq, i: int, allow_nonsolution: bool = False) 
     """
     if not seq:
         raise ValidationError("cannot encode an empty sequence")
-    if not allow_nonsolution and not pcp_check_solution(inst, seq):
+    solved = pcp_check_solution(inst, seq)  # also checks every index
+    if not (solved or allow_nonsolution):
         raise ValidationError("sequence is not a solution; pass allow_nonsolution to encode anyway")
     theta1 = _theta(inst, seq, 0)
     theta2 = _theta(inst, seq, 1)
@@ -213,133 +208,78 @@ def _wrong_shape(inst: PcpInstance, side: int) -> E.Rewb:
 
 
 def pcp_delta(inst: PcpInstance, i: int) -> E.Rewb:
-    """The expression accepting exactly the non-encoding-shaped words, well-named as built."""
+    """The expression accepting exactly the non-encoding-shaped words, well-named as built.
+
+    Each family is a few arms with the choice of letters inside them:
+    ``bind(letters, body)`` is the union over ``letters`` of
+    ``letter@x(body(x, letter))``, each x a fresh name, and
+    ``test(letters, cond)`` is the union of ``letter[cond]``. As
+    concatenation and binding distribute over union, this is the language
+    of one arm per tuple of letters. Each copy of the witness r has
+    variables of its own, and a binder body holds at most one copy.
+    """
     if i < 1:
         raise ValidationError("level must be at least 1")
-    reserved = _reserved_letters(inst, i)
-    clash = set(inst.sigma) & reserved
-    if clash:
-        raise ValidationError(f"instance alphabet clashes with reserved letters: {sorted(clash)}")
-
-    sigma = inst.sigma
-    dollars = inst.dollars()
+    sigma, dollars = inst.sigma, inst.dollars()
     gamma = sigma + dollars + [HASH]
     hash_atom = E.Atom(HASH)
     gamma_star = E.Star(union_all([E.Atom(l) for l in gamma]))
     sigma_star = E.Star(union_all([E.Atom(l) for l in sigma])) if sigma else E.EPS
+    a_dollar = union_all([E.Atom(d) for d in dollars])
+    names = itertools.count(1)
 
-    arms = []
+    def cat(*parts):
+        return concat_all(parts)
 
-    def arm(build):
-        """Add the arm ``build(x, y, r)``: binder names x and y and a copy of
-        the witness r, all of this arm's own."""
-        tag = f"_{len(arms) + 1}"
-        arms.append(build(f"x{tag}", f"y{tag}", _r_expr(i, tag)))
+    def r():
+        return _r_expr(i, f"_{next(names)}")
 
-    # 1. wrong letter projection on a side
-    left, right = _wrong_shape(inst, 0), _wrong_shape(inst, 1)
-    arm(lambda x, y, r: concat_all([left, hash_atom, r, hash_atom, gamma_star]))
-    arm(lambda x, y, r: concat_all([gamma_star, hash_atom, r, hash_atom, right]))
+    def core():
+        return cat(hash_atom, r(), hash_atom)
 
-    # 2. a hash value repeats elsewhere (first the value before z, then after)
-    for letter in gamma:
-        arm(lambda x, y, r: concat_all([
-            gamma_star,
-            E.Bind(letter, x, E.Concat(gamma_star, E.Test(HASH, E.Eq(x)))),
-            r, gamma_star,
-        ]))
-        arm(lambda x, y, r: concat_all([
-            gamma_star,
-            E.Bind(HASH, x, concat_all([r, gamma_star, E.Test(letter, E.Eq(x)), gamma_star])),
-        ]))
-        arm(lambda x, y, r: concat_all([
-            gamma_star,
-            E.Bind(letter, x, concat_all([gamma_star, hash_atom, r, E.Test(HASH, E.Eq(x))])),
-            gamma_star,
-        ]))
-        arm(lambda x, y, r: concat_all([
-            gamma_star, hash_atom, r,
-            E.Bind(HASH, x, concat_all([gamma_star, E.Test(letter, E.Eq(x)), gamma_star])),
-        ]))
+    def bind(letters, body):
+        arms = []
+        for letter in letters:
+            x = f"x_{next(names)}"
+            arms.append(E.Bind(letter, x, body(x, letter)))
+        return union_all(arms)
 
-    # 3. a value repeats before, or after, the hash-z-hash core
-    for la in gamma:
-        for lb in gamma:
-            def repeat(x):
-                return E.Bind(la, x, concat_all([gamma_star, E.Test(lb, E.Eq(x)), gamma_star]))
-            arm(lambda x, y, r: concat_all([gamma_star, repeat(x), hash_atom, r, hash_atom, gamma_star]))
-            arm(lambda x, y, r: concat_all([gamma_star, hash_atom, r, hash_atom, gamma_star, repeat(x)]))
+    def test(letters, cond):
+        return union_all([E.Test(letter, cond) for letter in letters])
 
-    # 4. dollar value mismatches across the two sides
-    for d1 in dollars:
-        for d2 in dollars:
-            arm(lambda x, y, r: concat_all([
-                E.Bind(d1, x, concat_all([gamma_star, hash_atom, r, hash_atom, E.Test(d2, E.Neq(x))])),
-                gamma_star,
-            ]))
-            arm(lambda x, y, r: concat_all([
-                gamma_star,
-                E.Bind(d1, x, concat_all([sigma_star, hash_atom, r, hash_atom, gamma_star, E.Test(d2, E.Neq(x))])),
-                sigma_star,
-            ]))
-    for d1 in dollars:
-        for d2 in dollars:
-            for d3 in dollars:
-                for d4 in dollars:
-                    arm(lambda x, y, r: concat_all([
-                        gamma_star,
-                        E.Bind(d1, x, E.Concat(sigma_star, E.Bind(d2, y, concat_all([
-                            gamma_star, hash_atom, r, hash_atom, gamma_star,
-                            E.Test(d3, E.Eq(x)), sigma_star, E.Test(d4, E.Neq(y)),
-                        ])))),
-                        gamma_star,
-                    ]))
+    def repeat(x, _letter):
+        return cat(gamma_star, test(gamma, E.Eq(x)), gamma_star)
 
-    # 5. position value mismatches across the two sides
-    for d1 in dollars:
-        for d2 in dollars:
-            for la in sigma:
-                for lb in sigma:
-                    arm(lambda x, y, r: concat_all([
-                        E.Atom(d1),
-                        E.Bind(la, x, concat_all([
-                            gamma_star, hash_atom, r, hash_atom,
-                            E.Atom(d2), E.Test(lb, E.Neq(x)),
-                        ])),
-                        gamma_star,
-                    ]))
-    for la in sigma:
-        for lb in sigma:
-            arm(lambda x, y, r: concat_all([
-                gamma_star,
-                E.Bind(la, x, concat_all([hash_atom, r, hash_atom, gamma_star, E.Test(lb, E.Neq(x))])),
-            ]))
-    for d1 in dollars:
-        for d2 in dollars:
-            for a1 in sigma:
-                for a2 in sigma:
-                    for a3 in sigma:
-                        for a4 in sigma:
-                            arm(lambda x, y, r: concat_all([
-                                gamma_star,
-                                E.Bind(a1, x, E.Concat(E.Union(E.EPS, E.Atom(d1)), E.Bind(a2, y, concat_all([
-                                    gamma_star, hash_atom, r, hash_atom, gamma_star,
-                                    E.Test(a3, E.Eq(x)),
-                                    E.Union(E.EPS, E.Atom(d2)),
-                                    E.Test(a4, E.Neq(y)),
-                                ])))),
-                                gamma_star,
-                            ]))
+    def mismatch(letters, lead, gap, tail):
+        """The arms where a value on ``letters`` differs across the sides:
+        the first, the last, or the one after a value both sides share.
+        ``lead`` comes before the first of ``letters`` on a side, ``gap``
+        between two of them, and ``tail`` after the last."""
+        return [
+            cat(lead, bind(letters, lambda x, _: cat(gamma_star, core(), lead, test(letters, E.Neq(x)))), gamma_star),
+            cat(gamma_star, bind(letters, lambda x, _: cat(tail, core(), gamma_star, test(letters, E.Neq(x)))), tail),
+            cat(gamma_star, bind(letters, lambda x, _: cat(gap, bind(letters, lambda y, _: cat(
+                gamma_star, core(), gamma_star, test(letters, E.Eq(x)), gap, test(letters, E.Neq(y)))))), gamma_star),
+        ]
 
-    # 6. a shared value carries different letters on the two sides
-    for g1 in gamma:
-        for g2 in gamma:
-            if g1 == g2:
-                continue
-            arm(lambda x, y, r: concat_all([
-                gamma_star,
-                E.Bind(g1, x, concat_all([gamma_star, hash_atom, r, hash_atom, gamma_star, E.Test(g2, E.Eq(x))])),
-                gamma_star,
-            ]))
-
+    arms = [
+        # 1. wrong letter projection on a side
+        cat(_wrong_shape(inst, 0), core(), gamma_star),
+        cat(gamma_star, core(), _wrong_shape(inst, 1)),
+        # 2. a hash value repeats elsewhere (first the value before z, then after)
+        cat(gamma_star, bind(gamma, lambda x, _: cat(gamma_star, E.Test(HASH, E.Eq(x)))), r(), gamma_star),
+        cat(gamma_star, bind([HASH], lambda x, _: cat(r(), repeat(x, HASH)))),
+        cat(gamma_star, bind(gamma, lambda x, _: cat(gamma_star, hash_atom, r(), E.Test(HASH, E.Eq(x)))), gamma_star),
+        cat(gamma_star, hash_atom, r(), bind([HASH], repeat)),
+        # 3. a value repeats before, or after, the hash-z-hash core
+        cat(gamma_star, bind(gamma, repeat), core(), gamma_star),
+        cat(gamma_star, core(), gamma_star, bind(gamma, repeat)),
+        # 4. a dollar value differs across the sides
+        *mismatch(dollars, E.EPS, sigma_star, sigma_star),
+        # 5. a position value differs across the sides (no letters, no positions)
+        *(mismatch(sigma, a_dollar, E.Union(E.EPS, a_dollar), E.EPS) if sigma else []),
+        # 6. a shared value carries different letters on the two sides
+        cat(gamma_star, bind(gamma, lambda x, letter: cat(
+            gamma_star, core(), gamma_star, test([l for l in gamma if l != letter], E.Eq(x)))), gamma_star),
+    ]
     return union_all(arms)

@@ -483,6 +483,17 @@ def test_gadget_pcp_commands(tmp_path):
         assert (code, out, err) == (0, "free-vars -\n", ""), pairs
 
 
+def test_gadget_pcp_commands_reject_bad_indices_and_letters(tmp_path):
+    for seq in ("0", "-1", "3"):
+        code, out, err = run(["gadget", "pcp-encode", "--pairs", "a/ab,bb/b", "--i", "1",
+                              "--seq=" + seq, "--allow-nonsolution"])
+        assert code == 1 and out == "" and "pair index out of range" in err, seq
+    # "é" is alphabetic, but the expression and word syntax cannot read it
+    code, out, err = run(["gadget", "pcp-delta", "--pairs", "é/é", "--i", "1",
+                          "--out-expr", str(tmp_path / "delta.expr")])
+    assert code == 1 and out == "" and "invalid alphabet letter" in err
+
+
 def test_selftest_reports_ok():
     code, out, err = run(["selftest", "--seed", "3", "--cases", "25"])
     assert (code, out, err) == (0, "OK: 25 cases\n", "")

@@ -1,11 +1,13 @@
 """Correspondence-problem encodings and the non-solution expression."""
 
+import hashlib
 import itertools
 
 import pytest
 
 from rewb import classify, member, member_any
 from rewb.errors import ValidationError
+from rewb.expr import letters_in
 from rewb.pcp import (
     HASH,
     MUTATION_KINDS,
@@ -61,6 +63,15 @@ def test_instance_letters_must_be_identifier_characters():
         PcpInstance((("a1", "a"),))
     with pytest.raises(ValidationError):
         PcpInstance(())
+    with pytest.raises(ValidationError):  # a letter, but not one the text syntax reads
+        PcpInstance((("é", "é"),))
+
+
+@pytest.mark.parametrize("seq", [[0], [-1], [3], [1, 3]])
+def test_encode_checks_every_index(seq):
+    for allow_nonsolution in (False, True):
+        with pytest.raises(ValidationError, match="pair index out of range"):
+            pcp_encode(SOLVABLE, seq, 1, allow_nonsolution=allow_nonsolution)
 
 
 def test_delta_level():
@@ -115,6 +126,28 @@ def test_a_wrong_shape_and_its_code_split_the_short_words(pairs):
         wrong = _wrong_shape(inst, side)
         for w in words:
             assert member(code, w) != member(wrong, w), (side, w)
+
+
+def _data_words(letters, n):
+    """Every data word over ``letters`` of length at most ``n``, values up to
+    renaming: a word's values are 1, 2, ... in the order they first occur."""
+    patterns = [()]
+    for k in range(n + 1):
+        for spelled in itertools.product(letters, repeat=k):
+            for values in patterns:
+                yield tuple(zip(spelled, values))
+        patterns = [p + (str(v),) for p in patterns for v in range(1, len(set(p)) + 2)]
+
+
+def test_the_language_of_a_delta_is_pinned():
+    # member's verdicts on every data word of length <= 4 over the delta's
+    # 7 letters, as the delta with one arm per tuple of letters gave them
+    delta = pcp_delta(PcpInstance((("a", "ab"), ("bb", "b"))), 1)
+    words = list(_data_words(sorted(letters_in(delta)), 4))
+    verdicts = "".join("1" if member(delta, w) else "0" for w in words)
+    assert (len(words), verdicts.count("1")) == (37836, 4391)
+    digest = hashlib.sha256(verdicts.encode()).hexdigest()
+    assert digest == "9c2b717c7d67f29feffcd24691d8416e6df79b438d459393f9a7b06644a91638"
 
 
 def test_a_delta_builds_for_long_pair_words():
