@@ -34,9 +34,7 @@ for the hierarchical view.
   or for the layered search of a set of numbered tuples, so a run reads no
   guard tree, and it empties a binder's register at the moves where it
   dies (no later guard reads it before a store), so runs that differ only
-  in dead values meet. For word membership it is reduced first:
-  ``reduced`` merges the positions with equal pasts, which the copies of
-  one prefix in many arms of a union have.
+  in dead values meet.
 
 Both constructions require the input to be well-named (binder names
 pairwise distinct and disjoint from the free variables); ``alpha_rename``
@@ -226,32 +224,6 @@ class RegisterNfa(PositionAutomaton):
         over numbered register tuples, for the layered search."""
         return self._rows(self._compiled_entries(E.compile_mask))
 
-    @cached_property
-    def reduced(self):
-        """This NFA with the positions of equal pasts merged, for ``member``.
-
-        Its states are the classes of ``_past_classes``, a backward
-        bisimulation refined from this NFA alone, so it accepts what this
-        NFA does (Ilie and Yu, *Reducing NFAs by invariant equivalences*,
-        2003). A class is final if a member is. ``self`` when nothing
-        merges.
-        """
-        cls, merged, preds = _past_classes(self)
-        if len(merged) == len(self.states):
-            return self
-        out = [[] for _ in merged]  # filled in class order, so each row comes sorted
-        for c, into in enumerate(preds):
-            for b in into:
-                out[b].append(c)
-        rows = {}
-        return RegisterNfa(
-            merged[1:],
-            {cls[q] for q in self.finals},
-            [rows.setdefault(row, row) for row in map(tuple, out)],
-            self.free,
-            self.slot,
-        )
-
     def _compiled_entries(self, compile_guard):
         """Per position ``dst``, the entry (dst, compiled guard, splice), the
         splice emptying the slots of ``liveness``'s ``clear[dst]``, indexed
@@ -280,94 +252,6 @@ class RegisterNfa(PositionAutomaton):
                     splice = splices[plan] = itemgetter(*items)
             made.append((dst, test, splice))
         return made
-
-
-def _past_classes(nfa):
-    """(cls, merged, preds): the class ``cls[q]`` of each state of ``nfa``,
-    and per class the label of its first position (None for class 0) and
-    the classes of the predecessors of each of its positions. The classes
-    form a backward bisimulation: the positions of one class carry one label
-    in slot form and are reached by the same (word, register tuple) pairs.
-    Guards equal in slot form are one object in these labels.
-
-    Naive partition refinement (Paige and Tarjan, *Three partition
-    refinement algorithms*, 1987), seeded by one pass in position order.
-    The pass keys each position by its label in slot form and the classes
-    of its predecessors numbered below it; state 0 stays alone as class 0.
-    ``_glushkov`` numbers positions left to right, so every arc goes
-    forward but the back arcs of star bodies, which this key leaves out.
-    Each round keys every state by its class and the classes of all its
-    predecessors, building each distinct predecessor tuple's class set
-    once, until a round splits no class: then every member of a class has
-    its set of predecessor classes. Classes are numbered in order of their
-    first state, in the pass and in every round.
-    """
-    labels, succs, slot = nfa.labels, nfa.succs, nfa.slot
-    n = len(labels) + 1
-    key = _slot_keys(slot)
-    into = [[] for _ in range(n)]
-    for p, succ in enumerate(succs):
-        for q in succ:
-            into[q].append(p)
-    distinct = {}  # predecessor tuple -> its number
-    pred = [distinct.setdefault(ps, len(distinct)) for ps in map(tuple, into)]  # per state
-    tuples = list(distinct)
-    cls = [0] * n
-    ids, label_keys = {}, {}
-    for q in range(1, n):
-        label = labels[q - 1]
-        lk = label_keys.get(label)
-        if lk is None:
-            letter, guard, store = label
-            lk = label_keys[label] = (letter, guard and key(guard), slot.get(store))
-        cls[q] = ids.setdefault((lk, frozenset([cls[p] for p in into[q] if p < q])), len(ids) + 1)
-    count = len(ids) + 1
-    while True:
-        sets = [frozenset(map(cls.__getitem__, ps)) for ps in tuples]
-        ids = {}
-        cls = [ids.setdefault((c, sets[t]), len(ids)) for c, t in zip(cls, pred)]
-        if len(ids) == count:
-            break
-        count = len(ids)
-    merged, preds, guards = [None], [frozenset()], {}
-    for q in range(1, n):
-        if cls[q] == len(merged):  # the first position of its class
-            letter, guard, store = label = labels[q - 1]
-            if guard is not None:
-                gk = label_keys[label][1]
-                if guards.setdefault(gk, guard) is not guard:
-                    label = (letter, guards[gk], store)
-            merged.append(label)
-            preds.append(sets[pred[q]])
-    return cls, merged, preds
-
-
-def _slot_keys(slot):
-    """A function from a condition to its slot form: the condition with each
-    variable replaced by its slot. Conditions are hash-consed, so two
-    conditions get one key exactly when they are equal in slot form. The
-    nodes are keyed children first on an explicit stack, and kept for later
-    calls."""
-    keys = {}
-
-    def key(root):
-        stack = [root]
-        while stack:
-            c = stack[-1]
-            kind = type(c)
-            if kind is E.Eq or kind is E.Neq:
-                keys[c] = kind(slot[c.var])
-            else:
-                parts = (c.body,) if kind is E.Not else (c.left, c.right)
-                todo = [k for k in parts if k not in keys]
-                if todo:
-                    stack += todo
-                    continue
-                keys[c] = kind(*[keys[k] for k in parts])
-            stack.pop()
-        return keys[root]
-
-    return key
 
 
 def _require_well_named(e):

@@ -26,13 +26,12 @@ other; pick by the question asked:
 
 * ``eval_oracle`` searches data paths breadth-first up to a length bound,
   merging prefixes that reach one node with one set of configurations. It
-  steps them with ``_step``, which reads the unreduced NFA's successors
-  and labels, not its compiled rows, and interprets guards over dict
-  valuations that keep every binding: the reference semantics.
+  steps them with ``_step``, which reads the NFA's successors and labels,
+  not its compiled rows, and interprets guards over dict valuations that
+  keep every binding: the reference semantics.
 
-``member`` and ``member_any`` run a word on the NFA's ``reduced`` quotient,
-which merges the positions with equal pasts, through the rows that
-``_search`` reads (``_member``); ``selftest`` checks them against a
+``member`` and ``member_any`` run a word on the same NFA through the rows
+that ``_search`` reads (``_member``); ``selftest`` checks them against a
 ``_step`` run.
 
 Every entry point but ``eval_stratified`` takes its register NFA from one
@@ -102,19 +101,16 @@ def member(e: E.Rewb, w: DataWord, val=None) -> bool:
 
 
 def _member(nfa, w, val):
-    """Runs ``w`` on ``nfa.reduced``: each letter maps the set of
-    configurations (row number, register tuple) to the next through the
-    tests and splices of its ``row_index``, as ``_search`` does. A row can
-    be shared by a final and a non-final state, so ``w`` is accepted when a
-    passing move of its last letter enters a final state. Accepts, and
-    raises, exactly where ``_stepped`` does on ``nfa``: the classes of the
-    quotient are reached by the (word, register tuple) pairs that reach
-    their members."""
-    red = nfa.reduced
-    rows = red.row_index
+    """Runs ``w`` on ``nfa``: each letter maps the set of configurations
+    (row number, register tuple) to the next through the tests and splices
+    of its ``row_index``, as ``_search`` does. A row can be shared by a
+    final and a non-final state, so ``w`` is accepted when a passing move
+    of its last letter enters a final state. Accepts, and raises, exactly
+    where ``_stepped`` does."""
+    rows = nfa.row_index
     unset = E.UNSET
-    configs = {(0, _registers(red, val))}
-    accepted = 0 in red.finals
+    configs = {(0, _registers(nfa, val))}
+    accepted = 0 in nfa.finals
     for letter, d in w:
         nxt = set()
         accepted = False
@@ -130,8 +126,8 @@ def _member(nfa, w, val):
 
 
 def _stepped(nfa, w, val):
-    """``_member`` by the interpreted ``_step`` on the unreduced ``nfa``, the
-    reference that ``selftest`` checks it against."""
+    """``_member`` by the interpreted ``_step`` on ``nfa``, the reference
+    that ``selftest`` checks it against."""
     configs = {(0, _vkey(val)): val}
     for letter, d in w:
         configs = _step(nfa, configs, letter, d)

@@ -78,30 +78,49 @@ NnfFormula = Pos | Neg | FAnd | FOr
 
 
 def atoms_of(phi: NnfFormula) -> set:
-    if isinstance(phi, (Pos, Neg)):
-        return {phi.atom}
-    out = set()
-    for item in phi.items:
-        out |= atoms_of(item)
+    out, stack = set(), [phi]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Pos, Neg)):
+            out.add(node.atom)
+        else:
+            stack += node.items
     return out
 
 
 def brute_formula(phi: NnfFormula, assignment) -> bool:
-    """Direct NNF evaluation; ``assignment`` is the set of true atoms."""
-    if isinstance(phi, Pos):
-        return phi.atom in assignment
-    if isinstance(phi, Neg):
-        return phi.atom not in assignment
-    if isinstance(phi, FAnd):
-        return all(brute_formula(item, assignment) for item in phi.items)
-    return any(brute_formula(item, assignment) for item in phi.items)
+    """Direct NNF evaluation; ``assignment`` is the set of true atoms.
+
+    It runs on an explicit stack of (connective, index of the item under
+    way), so it does not recurse however deep ``phi`` is, and it stops at
+    the first item that decides a connective."""
+    stack, node = [], phi
+    while True:
+        while not isinstance(node, (Pos, Neg)):
+            stack.append((node, 0))
+            node = node.items[0]
+        value = (node.atom in assignment) == isinstance(node, Pos)
+        while stack:
+            parent, k = stack.pop()
+            if value != isinstance(parent, FOr) and k + 1 < len(parent.items):
+                stack.append((parent, k + 1))
+                node = parent.items[k + 1]
+                break
+        else:
+            return value
+
+
+def _joined(kind, items):
+    return items[0] if len(items) == 1 else kind(tuple(items))
 
 
 def parse_nnf(text: str) -> NnfFormula:
     """Small NNF syntax: atoms, '&', '|', '!' on atoms, parentheses.
 
     A syntax error gives the line and column of the offending token, or of
-    the end of the text."""
+    the end of the text. The parse keeps one (disjuncts, conjuncts of the
+    last disjunct) pair per open parenthesis on an explicit stack, so it
+    does not recurse however deep the parentheses nest."""
     tokens = [(m.group(), m.start()) for m in re.finditer(r"[A-Za-z_][A-Za-z0-9_]*|\S", text)]
     tokens.append((None, len(text)))
     pos = 0
@@ -109,53 +128,46 @@ def parse_nnf(text: str) -> NnfFormula:
     def error(msg):
         return SourceError(msg, *_where(text, tokens[pos][1]))
 
-    def peek():
-        return tokens[pos][0]
-
-    def take():
-        nonlocal pos
-        pos += 1
-        return tokens[pos - 1][0]
-
-    def disjunction():
-        items = [conjunction()]
-        while peek() == "|":
-            take()
-            items.append(conjunction())
-        return items[0] if len(items) == 1 else FOr(tuple(items))
-
-    def conjunction():
-        items = [literal()]
-        while peek() == "&":
-            take()
-            items.append(literal())
-        return items[0] if len(items) == 1 else FAnd(tuple(items))
-
-    def literal():
-        tok = peek()
+    groups = [([], [])]  # the whole text, then each open parenthesis
+    while True:
+        tok = tokens[pos][0]
+        if tok == "(":
+            pos += 1
+            groups.append(([], []))
+            continue
         if tok is None:
             raise error("unexpected end of formula")
-        if tok == "(":
-            take()
-            out = disjunction()
-            if peek() != ")":
-                raise error("missing ')'")
-            take()
-            return out
         if tok == "!":
-            take()
-            atom = peek()
+            pos += 1
+            atom = tokens[pos][0]
             if atom is None or not _ATOM_RE.match(atom):
                 raise error("'!' must be followed by an atom")
-            return Neg(take())
-        if _ATOM_RE.match(tok):
-            return Pos(take())
-        raise error(f"unexpected token {tok!r}")
-
-    out = disjunction()
-    if peek() is not None:
-        raise error(f"trailing input at token {peek()!r}")
-    return out
+            out = Neg(atom)
+        elif _ATOM_RE.match(tok):
+            out = Pos(tok)
+        else:
+            raise error(f"unexpected token {tok!r}")
+        pos += 1
+        while True:  # after an operand: an operator, or the end of its group
+            disjuncts, conjuncts = groups[-1]
+            conjuncts.append(out)
+            tok = tokens[pos][0]
+            if tok == "&":
+                break
+            disjuncts.append(_joined(FAnd, conjuncts))
+            if tok == "|":
+                conjuncts.clear()
+                break
+            out = _joined(FOr, disjuncts)
+            if len(groups) == 1:
+                if tok is not None:
+                    raise error(f"trailing input at token {tok!r}")
+                return out
+            if tok != ")":
+                raise error("missing ')'")
+            pos += 1
+            groups.pop()
+        pos += 1
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +310,12 @@ def _formula_edges(phi, atoms):
     def fresh():
         return f"g{next(counter)}"
 
-    def build(node, src, snk):
+    head, mid, formula_src, formula_snk = "s0", "s1", fresh(), fresh()
+    edges.append((head, "a", "po", mid))
+    edges.append((mid, "a", "ne", formula_src))
+    stack = [(phi, formula_src, formula_snk)]
+    while stack:  # depth first, items in order
+        node, src, snk = stack.pop()
         if isinstance(node, (Pos, Neg)):
             polarity = "po" if isinstance(node, Pos) else "ne"
             n1, n2, n3 = fresh(), fresh(), fresh()
@@ -308,16 +325,9 @@ def _formula_edges(phi, atoms):
             edges.append((n3, "e", STAR_VALUE, snk))
         elif isinstance(node, FAnd):
             points = [src] + [fresh() for _ in node.items[:-1]] + [snk]
-            for item, a, b in zip(node.items, points, points[1:]):
-                build(item, a, b)
+            stack += reversed(list(zip(node.items, points, points[1:])))
         else:
-            for item in node.items:
-                build(item, src, snk)
-
-    head, mid, formula_src, formula_snk = "s0", "s1", fresh(), fresh()
-    edges.append((head, "a", "po", mid))
-    edges.append((mid, "a", "ne", formula_src))
-    build(phi, formula_src, formula_snk)
+            stack += [(item, src, snk) for item in reversed(node.items)]
     return edges, head, formula_snk
 
 

@@ -190,7 +190,9 @@ def _wrong_shape(inst: PcpInstance, side: int) -> E.Rewb:
     ``C*`` exactly when the rest is nonempty and starts with no code word:
     with a letter or hash, or with ``dollar_j`` and a proper prefix of
     ``w_j`` that ends the word or goes on with a letter other than the next
-    of ``w_j``.
+    of ``w_j``. The rests of ``dollar_j`` share their prefixes, as the trie
+    ``dollar_j·(stop_0 + w_j[0]·(stop_1 + ...))``, where ``stop_k`` ends the
+    word or reads a letter other than ``w_j[k]``.
     """
     sigma, dollars = inst.sigma, inst.dollars()
     gamma = sigma + dollars + [HASH]
@@ -200,23 +202,27 @@ def _wrong_shape(inst: PcpInstance, side: int) -> E.Rewb:
                              for dollar, word in zip(dollars, words)]))
     rests = [E.Concat(union_all([E.Atom(l) for l in sigma + [HASH]]), gamma_star)]
     for dollar, word in zip(dollars, words):
-        for k, ch in enumerate(word):
-            other = union_all([E.Atom(l) for l in gamma if l != ch])
-            rests.append(concat_all([E.Atom(dollar)] + [E.Atom(c) for c in word[:k]]
-                                    + [E.Union(E.EPS, E.Concat(other, gamma_star))]))
+        trie = None
+        for ch in reversed(word):
+            stop = E.Union(E.EPS, E.Concat(union_all([E.Atom(l) for l in gamma if l != ch]), gamma_star))
+            trie = stop if trie is None else E.Union(stop, E.Concat(E.Atom(ch), trie))
+        if trie is not None:
+            rests.append(E.Concat(E.Atom(dollar), trie))
     return E.Concat(code, union_all(rests))
 
 
 def pcp_delta(inst: PcpInstance, i: int) -> E.Rewb:
     """The expression accepting exactly the non-encoding-shaped words, well-named as built.
 
-    Each family is a few arms with the choice of letters inside them:
     ``bind(letters, body)`` is the union over ``letters`` of
-    ``letter@x(body(x, letter))``, each x a fresh name, and
-    ``test(letters, cond)`` is the union of ``letter[cond]``. As
-    concatenation and binding distribute over union, this is the language
-    of one arm per tuple of letters. Each copy of the witness r has
-    variables of its own, and a binder body holds at most one copy.
+    ``letter@x(body(x, letter))``, each x a fresh name, ``test(letters,
+    cond)`` is the union of ``letter[cond]``, and each copy of the witness r
+    has variables of its own. Each shared prefix is written once: most arms
+    start with Γ* and bind a letter, so they are one ``Γ*·(hash·r·(...) +
+    bind(Γ, after))``, where ``after(x, letter)`` holds every family's arm
+    that binds that letter there, its continuation moved inside the binder
+    (x is not read after it). As concatenation and binding distribute over
+    union, this is the language of one arm per family and tuple of letters.
     """
     if i < 1:
         raise ValidationError("level must be at least 1")
@@ -225,11 +231,10 @@ def pcp_delta(inst: PcpInstance, i: int) -> E.Rewb:
     hash_atom = E.Atom(HASH)
     gamma_star = E.Star(union_all([E.Atom(l) for l in gamma]))
     sigma_star = E.Star(union_all([E.Atom(l) for l in sigma])) if sigma else E.EPS
-    a_dollar = union_all([E.Atom(d) for d in dollars])
     names = itertools.count(1)
 
     def cat(*parts):
-        return concat_all(parts)
+        return concat_all([p for p in parts if p is not E.EPS] or [E.EPS])
 
     def r():
         return _r_expr(i, f"_{next(names)}")
@@ -250,36 +255,48 @@ def pcp_delta(inst: PcpInstance, i: int) -> E.Rewb:
     def repeat(x, _letter):
         return cat(gamma_star, test(gamma, E.Eq(x)), gamma_star)
 
-    def mismatch(letters, lead, gap, tail):
-        """The arms where a value on ``letters`` differs across the sides:
-        the first, the last, or the one after a value both sides share.
-        ``lead`` comes before the first of ``letters`` on a side, ``gap``
-        between two of them, and ``tail`` after the last."""
-        return [
-            cat(lead, bind(letters, lambda x, _: cat(gamma_star, core(), lead, test(letters, E.Neq(x)))), gamma_star),
-            cat(gamma_star, bind(letters, lambda x, _: cat(tail, core(), gamma_star, test(letters, E.Neq(x)))), tail),
-            cat(gamma_star, bind(letters, lambda x, _: cat(gap, bind(letters, lambda y, _: cat(
-                gamma_star, core(), gamma_star, test(letters, E.Eq(x)), gap, test(letters, E.Neq(y)))))), gamma_star),
-        ]
+    # 4. a dollar value or 5. a position value differs across the sides: per
+    # family the letters carrying the values, what comes before the first
+    # of them on a side (lead), after the last (tail), and after the tail
+    # before the next one (step)
+    a_dollar = union_all([E.Atom(d) for d in dollars])
+    differ = [(dollars, E.EPS, sigma_star, E.EPS)]
+    if sigma:  # no letters, no positions
+        differ.append((sigma, a_dollar, E.EPS, E.Union(E.EPS, a_dollar)))
 
-    arms = [
-        # 1. wrong letter projection on a side
+    def after(x, letter):
+        eq = E.Eq(x)
+        arms = [cat(gamma_star, union_all([
+            # 2. a hash value repeats earlier: the one before z, or after
+            cat(E.Test(HASH, eq), r(), gamma_star),
+            cat(hash_atom, r(), E.Union(
+                cat(E.Test(HASH, eq), gamma_star),
+                # 6. a shared value carries different letters on the two sides
+                cat(hash_atom, gamma_star, test([l for l in gamma if l != letter], eq), gamma_star))),
+            # 3. a value repeats before the hash-z-hash core
+            cat(test(gamma, eq), gamma_star, core(), gamma_star),
+        ]))]
+        if letter == HASH:  # 2. the hash value before z repeats later
+            arms.append(cat(r(), repeat(x, letter)))
+        for letters, _lead, tail, step in differ:
+            if letter in letters:  # 4./5. the last value differs, or the one after a value both sides share
+                arms.append(cat(tail, E.Union(
+                    cat(core(), gamma_star, test(letters, E.Neq(x)), tail),
+                    cat(step, bind(letters, lambda y, _: cat(gamma_star, core(), gamma_star, test(letters, eq),
+                                                             tail, step, test(letters, E.Neq(y)))), gamma_star))))
+        return union_all(arms)
+
+    return union_all([
+        # 1. wrong letter projection on the u side
         cat(_wrong_shape(inst, 0), core(), gamma_star),
-        cat(gamma_star, core(), _wrong_shape(inst, 1)),
-        # 2. a hash value repeats elsewhere (first the value before z, then after)
-        cat(gamma_star, bind(gamma, lambda x, _: cat(gamma_star, E.Test(HASH, E.Eq(x)))), r(), gamma_star),
-        cat(gamma_star, bind([HASH], lambda x, _: cat(r(), repeat(x, HASH)))),
-        cat(gamma_star, bind(gamma, lambda x, _: cat(gamma_star, hash_atom, r(), E.Test(HASH, E.Eq(x)))), gamma_star),
-        cat(gamma_star, hash_atom, r(), bind([HASH], repeat)),
-        # 3. a value repeats before, or after, the hash-z-hash core
-        cat(gamma_star, bind(gamma, repeat), core(), gamma_star),
-        cat(gamma_star, core(), gamma_star, bind(gamma, repeat)),
-        # 4. a dollar value differs across the sides
-        *mismatch(dollars, E.EPS, sigma_star, sigma_star),
-        # 5. a position value differs across the sides (no letters, no positions)
-        *(mismatch(sigma, a_dollar, E.Union(E.EPS, a_dollar), E.EPS) if sigma else []),
-        # 6. a shared value carries different letters on the two sides
-        cat(gamma_star, bind(gamma, lambda x, letter: cat(
-            gamma_star, core(), gamma_star, test([l for l in gamma if l != letter], E.Eq(x)))), gamma_star),
-    ]
-    return union_all(arms)
+        # 4./5. the first value differs
+        *[cat(lead, bind(letters, lambda x, _: cat(gamma_star, core(), lead, test(letters, E.Neq(x)))), gamma_star)
+          for letters, lead, _tail, _step in differ],
+        cat(gamma_star, E.Union(
+            cat(hash_atom, r(), E.Union(
+                # 1. wrong letter projection on the v side, or 3. a value repeats after the core
+                cat(hash_atom, E.Union(_wrong_shape(inst, 1), cat(gamma_star, bind(gamma, repeat)))),
+                # 2. the hash value after z repeats later
+                bind([HASH], repeat))),
+            bind(gamma, after))),
+    ])

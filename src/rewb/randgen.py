@@ -155,7 +155,7 @@ def selftest(seed: int = 0, cases: int = 100) -> SelftestReport:
 
 def _member_fault(e, w, val):
     """A description of ``w`` if ``member`` and a ``_step`` run on the
-    unreduced register NFA disagree on it, else None."""
+    register NFA disagree on it, else None."""
     got, expected = member(e, w, val), _stepped(_compiled(e), w, dict(val))
     if got == expected:
         return None

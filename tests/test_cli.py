@@ -50,6 +50,18 @@ def test_sat_gadget_on_2000_atoms_prints_an_expression_that_parses_back(tmp_path
     assert run(["parse", f"@{path}"]) == (0, path.read_text(encoding="utf-8"), "")
 
 
+@pytest.mark.parametrize("parts, answer", [(("p1 |", "p2 &"), "true"), (("p1 &", "!p1 |"), "false")],
+                         ids=["satisfiable", "unsatisfiable"])
+def test_sat_gadget_of_a_formula_ten_thousand_levels_deep(tmp_path, parts, answer):
+    formula = "".join(f"{parts[k % 2]} (" for k in range(10_000)) + "!p1" + ")" * 10_000
+    graph_file, expr_file = tmp_path / "sat.graph", tmp_path / "sat.expr"
+    code, out, err = run(["gadget", "sat", "--formula", formula, "--atoms", "p1,p2",
+                          "--out-graph", str(graph_file), "--out-expr", str(expr_file)])
+    assert (code, out, err) == (0, "source c0 / sink g1 / free-vars -\n", "")
+    code, out, err = run(["eval", "--expr", f"@{expr_file}", "--graph", str(graph_file), "--from", "c0", "--to", "g1"])
+    assert (code, out, err) == (0, f"{answer}\n", "")
+
+
 def test_parse_dump_automaton_is_deterministic():
     first = run(["parse", "(a@x(b[x=]))*", "--dump-automaton"])
     second = run(["parse", "(a@x(b[x=]))*", "--dump-automaton"])
@@ -71,7 +83,12 @@ def test_parse_rename_dumps_the_automaton_of_the_tree_renamed_once():
     ("(a@x((b@y(a[y!=]))*.a[x=]))*",
      "states 2\ninitial 0\nfinal 0 1\n0 -> 1 subexpr a@x_1(b@y_2(a[y_2!=])*.a[x_1=])\n"
      "1 -> 1 subexpr a@x_1(b@y_2(a[y_2!=])*.a[x_1=])\n"),
-], ids=["f0", "eshape", "fshape"])
+    ("a.b[x=]*", "states 3\ninitial 0\nfinal 1 2\n0 -> 1 read a\n1 -> 2 read b[x=]\n2 -> 2 read b[x=]\n"),
+    ("a@x((b[x!=])*.a[x=])",
+     "states 3\ninitial 0\nfinal 2\n0 -> 1 bind a@x_1\n1 -> 2 subexpr b[x_1!=]*.a[x_1=]\n"),
+    ("(a@x(b[x=]))*",
+     "states 2\ninitial 0\nfinal 0 1\n0 -> 1 subexpr a@x_1(b[x_1=])\n1 -> 1 subexpr a@x_1(b[x_1=])\n"),
+], ids=["f0", "eshape", "fshape", "reads", "bind", "loop"])
 def test_parse_dump_automaton_golden(text, dump):
     # one view of each kind: F-level 0, E-shaped and F-shaped
     assert run(["parse", text, "--dump-automaton"]) == (0, dump, "")

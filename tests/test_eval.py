@@ -885,15 +885,6 @@ def test_member_on_the_reduced_nfa_agrees_with_the_interpreted_step():
     assert 100 < raised and 300 < accepted < triples - raised - 300
 
 
-def test_eval_oracle_steps_the_unreduced_nfa(monkeypatch):
-    def unbuilt(_nfa):
-        raise AssertionError("eval_oracle read the reduced NFA")
-
-    monkeypatch.setattr(RegisterNfa, "reduced", property(unbuilt))
-    e = parse_expr("(a@x(b[x=]))*")
-    assert eval_oracle(e, CYCLE) == eval_flat(e, CYCLE)
-
-
 @pytest.fixture
 def dropped_moves(monkeypatch):
     """A planted fault in the compiled move tables: ``_rows`` drops the last
@@ -945,17 +936,17 @@ def test_connected_any_is_membership_in_eval_any():
 
 def test_member_reads_acceptance_from_the_move_not_the_row():
     e = parse_expr("(a*.b)*")
-    red = _compiled(e).reduced
+    nfa = _compiled(e)
     # the a position (state 1, not final) shares row 0 with the final state 0
-    assert red.row_numbers[1] == red.row_numbers[0] == 0
-    assert 0 in red.finals and 1 not in red.finals
+    assert nfa.row_numbers[1] == nfa.row_numbers[0] == 0
+    assert 0 in nfa.finals and 1 not in nfa.finals
     for word, want in (([], True), ([("a", "1")], False), ([("a", "1"), ("b", "1")], True)):
         assert member(e, word) is want, word
         assert member_any(e, word) is want, word
 
 
 def test_member_under_a_starred_binder_of_ten_thousand_tests():
-    # compiling, reducing and running a 10,000-test body take no recursion per test
+    # compiling and running a 10,000-test body take no recursion per test
     e = parse_expr("(a@x(" + ".".join(["b[x=]"] * 10_000) + "))*")
     block = [("b", "1")] * 10_000
     assert member(e, [("a", "1")] + block + [("a", "2")] + [("b", "2")] * 10_000)

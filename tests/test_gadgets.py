@@ -279,6 +279,24 @@ def test_brute_formula_examples():
     ))
 
 
+@pytest.mark.parametrize("parts, truths", [
+    (("p1 |", "p2 &"), (False, True, True, True)),  # p1 | (p2 & (p1 | (p2 & ... !p1)))
+    (("p1 &", "!p1 |"), (False, False, False, False)),  # p1 & (!p1 | (p1 & ... !p1))
+], ids=["satisfiable", "unsatisfiable"])
+def test_formulas_ten_thousand_levels_deep(parts, truths):
+    # parsed, evaluated, and turned into a gadget at the default recursion limit
+    phi = parse_nnf("".join(f"{parts[k % 2]} (" for k in range(10_000)) + "!p1" + ")" * 10_000)
+    node, depth = phi, 0
+    while not isinstance(node, (Pos, Neg)):
+        node, depth = node.items[-1], depth + 1
+    assert depth == 10_000 and node == Neg("p1")
+    assignments = (set(), {"p1"}, {"p2"}, {"p1", "p2"})
+    assert tuple(brute_formula(phi, a) for a in assignments) == truths
+    out = sat_reduction(phi, ["p1", "p2"])
+    assert len(out.graph.edges) == 4 * 10_001 + 2 + 4
+    assert connected(out.expr, out.graph, {}, out.graph.source, out.graph.sink) == any(truths)
+
+
 def test_parse_nnf():
     assert parse_nnf("pr1 & !pr2") == FAnd((Pos("pr1"), Neg("pr2")))
     assert parse_nnf("(a|b) & c") == FAnd((FOr((Pos("a"), Pos("b"))), Pos("c")))

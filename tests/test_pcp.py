@@ -2,12 +2,14 @@
 
 import hashlib
 import itertools
+import random
 
 import pytest
 
-from rewb import classify, member, member_any
+from rewb import classify, member, member_any, register_nfa
 from rewb.errors import ValidationError
-from rewb.expr import letters_in
+from rewb.evaluate import _compiled, _stepped
+from rewb.expr import letters_in, size
 from rewb.pcp import (
     HASH,
     MUTATION_KINDS,
@@ -155,6 +157,46 @@ def test_a_delta_builds_for_long_pair_words():
         inst = PcpInstance(pairs)
         delta = pcp_delta(inst, 1)
         assert member_any(delta, pcp_encode(inst, [1], 1, allow_nonsolution=True))
+
+
+def test_long_pair_words_reach_the_wrong_shape_rests():
+    # words of length <= 4 never get past the first letters of a pair word
+    # of 70; here the kernel that member runs and the interpreted step read
+    # the rests after dollar1 a^k, and the rests split the words with the code
+    inst = PcpInstance((("a" * 70, "b"),))
+    delta = pcp_delta(inst, 1)
+    nfa = _compiled(delta)
+    gamma = inst.sigma + inst.dollars() + [HASH]
+    code, wrong = parse_expr("(dollar1." + ".".join("a" * 70) + ")*"), _wrong_shape(inst, 0)
+    encoding = pcp_encode(inst, [1], 1, allow_nonsolution=True)
+    words = [encoding] + [pcp_mutate(encoding, kind, seed) for kind in MUTATION_KINDS for seed in range(3)]
+    rng = random.Random(70)
+    for _ in range(200):
+        head = rng.choice([(), (HASH,)])
+        letters = [*head, "dollar1", *["a"] * rng.randint(0, 70), *rng.choices(gamma, k=rng.randint(0, 3))]
+        w = tuple((letter, str(rng.randint(1, 3))) for letter in letters)
+        words.append(w)
+        if not head:
+            assert member(code, w) != member(wrong, w), w
+    verdicts = set()
+    for w in words:
+        verdict = member(delta, w)
+        assert verdict == _stepped(nfa, w, {}), w
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("pairs, i, nodes, states, width", [
+    ((("a", "ab"), ("bb", "b")), 1, 1730, 417, 3),
+    ((("a", "ab"), ("bb", "b")), 2, 1866, 485, 4),
+    ((("a" * 70, "b"),), 1, 2528, 566, 3),
+], ids=["a/ab,bb/b i=1", "a/ab,bb/b i=2", "a^70/b i=1"])
+def test_the_sizes_of_the_deltas_are_pinned(pairs, i, nodes, states, width):
+    # nodes, register-NFA states and register width, with each shared
+    # prefix of the families written once
+    delta = pcp_delta(PcpInstance(pairs), i)
+    nfa = register_nfa(delta)
+    assert (size(delta), len(nfa.states), nfa.width) == (nodes, states, width)
 
 
 def test_a_delta_of_empty_pair_words_has_no_letters_to_star():

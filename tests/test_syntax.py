@@ -121,7 +121,7 @@ def test_parse_results_on_corrupted_texts_are_pinned():
     # the digest of (message, line, column) of each error, or of the text
     # printed back from each tree that still parses, as the scanner that
     # kept an offset in every token gave them: 2,000 corrupted random
-    # expressions and 40 corruptions of the 6,965-character i=1 PCP delta
+    # expressions and 40 corruptions of the 6,420-character i=1 PCP delta
     rng = random.Random(2006)
     texts = [_corrupt(rng, print_expr(random_expr(rng, 20, letters=("a", "b", "c"),
                                                   variables=("x", "y", "z"))))
@@ -137,8 +137,8 @@ def test_parse_results_on_corrupted_texts_are_pinned():
             errors += 1
             result = f"{err.message} {err.line} {err.column}"
         digest.update(result.encode() + b"\n")
-    assert errors == 1780
-    assert digest.hexdigest() == "a8de4fdfa869c1d9a7e352f44037b6afa3a5b1685a0fd72bc48c6ac43de394b6"
+    assert errors == 1783
+    assert digest.hexdigest() == "8b7cfd0250fcdc92bad357270c94756f5342fb4e562d9d0e61a4bb6bd08f3312"
 
 
 DEPTH = 10_000
