@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import expr as E
 from .data import DataGraph, graph
@@ -46,18 +47,94 @@ _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # Negation normal form formulas
 
 
-@dataclass(frozen=True)
-class Pos:
+class _Nnf:
+    """Equality, hash and repr of formulas on explicit stacks, so that a
+    formula nested 10,000 deep compares, hashes and prints at the default
+    recursion limit. Each returns what the dataclass method would."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or not isinstance(a, _Nnf):
+                if a != b:
+                    return False
+            elif isinstance(a, (Pos, Neg)):
+                if a.atom != b.atom:
+                    return False
+            elif len(a.items) != len(b.items):
+                return False
+            else:
+                stack += zip(a.items, b.items)
+        return True
+
+    def __hash__(self):
+        hashes, stack = {}, [self]  # by id: every node lives as long as self
+        while stack:
+            node = stack[-1]
+            if id(node) in hashes:
+                stack.pop()
+            elif isinstance(node, (Pos, Neg)):
+                hashes[id(node)] = hash((node.atom,))
+            elif isinstance(node, (FAnd, FOr)):
+                pending = [item for item in node.items if id(item) not in hashes]
+                if pending:
+                    stack += pending
+                else:
+                    hashes[id(node)] = hash((tuple(_Hashed(hashes[id(item)]) for item in node.items),))
+            else:
+                hashes[id(node)] = hash(node)
+        return hashes[id(self)]
+
+    def __repr__(self):
+        out, stack = [], [(False, self)]  # (is text, text or item)
+        while stack:
+            text, node = stack.pop()
+            if text:
+                out.append(node)
+            elif isinstance(node, (Pos, Neg)):
+                out.append(f"{node.__class__.__qualname__}(atom={node.atom!r})")
+            elif isinstance(node, (FAnd, FOr)):
+                out.append(f"{node.__class__.__qualname__}(items=(")
+                stack.append((True, ",))" if len(node.items) == 1 else "))"))
+                for k in range(len(node.items) - 1, -1, -1):
+                    stack.append((False, node.items[k]))
+                    if k:
+                        stack.append((True, ", "))
+            else:
+                out.append(repr(node))
+        return "".join(out)
+
+
+class _Hashed:
+    """Hashes as the given int, so a tuple of these hashes as the tuple of
+    the items whose hashes they hold."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Pos(_Nnf):
     atom: str
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False, repr=False)
+class Neg(_Nnf):
     atom: str
 
 
-@dataclass(frozen=True)
-class FAnd:
+@dataclass(frozen=True, eq=False, repr=False)
+class FAnd(_Nnf):
     items: tuple
 
     def __post_init__(self):
@@ -65,8 +142,8 @@ class FAnd:
             raise ValidationError("conjunction needs at least one item")
 
 
-@dataclass(frozen=True)
-class FOr:
+@dataclass(frozen=True, eq=False, repr=False)
+class FOr(_Nnf):
     items: tuple
 
     def __post_init__(self):
@@ -282,7 +359,13 @@ def _check_atoms(atoms):
 
 
 def _gadget_letters(g, e):
-    return g.letters() | E.letters_in(e)
+    return g.letters() | _letters_of(e)
+
+
+@lru_cache(maxsize=256)
+def _letters_of(e):
+    """The letters of ``e``; a cached call hashes the interned ``e`` in O(1)."""
+    return frozenset(E.letters_in(e))
 
 
 # ---------------------------------------------------------------------------
@@ -297,42 +380,39 @@ def formula_graph(phi: NnfFormula, atoms) -> DataGraph:
 
 
 def _formula_edges(phi, atoms):
-    """The edges of ``formula_graph`` with its source and sink."""
+    """The edges of ``formula_graph`` with its source and sink. Its nodes
+    are s0, s1 and g0, g1, ..., numbered in the order the walk makes them."""
     atoms = list(atoms)
     _check_atoms(atoms)
-    stray = atoms_of(phi) - set(atoms)
-    if stray:
-        raise ValidationError(f"formula uses atoms outside the given set: {sorted(stray)}")
-
-    counter = itertools.count()
-    edges = []
-
-    def fresh():
-        return f"g{next(counter)}"
-
-    head, mid, formula_src, formula_snk = "s0", "s1", fresh(), fresh()
-    edges.append((head, "a", "po", mid))
-    edges.append((mid, "a", "ne", formula_src))
-    stack = [(phi, formula_src, formula_snk)]
+    edges = [("s0", "a", "po", "s1"), ("s1", "a", "ne", "g0")]
+    read = set()  # the atoms of phi
+    count = 2  # g0 and g1 are the formula's source and sink
+    stack = [(phi, "g0", "g1")]
     while stack:  # depth first, items in order
         node, src, snk = stack.pop()
         if isinstance(node, (Pos, Neg)):
             polarity = "po" if isinstance(node, Pos) else "ne"
-            n1, n2, n3 = fresh(), fresh(), fresh()
-            edges.append((src, "b", STAR_VALUE, n1))
-            edges.append((n1, "pn", polarity, n2))
-            edges.append((n2, "pa", node.atom, n3))
-            edges.append((n3, "e", STAR_VALUE, snk))
+            n1, n2, n3 = f"g{count}", f"g{count + 1}", f"g{count + 2}"
+            count += 3
+            edges += ((src, "b", STAR_VALUE, n1), (n1, "pn", polarity, n2),
+                      (n2, "pa", node.atom, n3), (n3, "e", STAR_VALUE, snk))
+            read.add(node.atom)
         elif isinstance(node, FAnd):
-            points = [src] + [fresh() for _ in node.items[:-1]] + [snk]
+            points = [src] + [f"g{count + i}" for i in range(len(node.items) - 1)] + [snk]
+            count += len(node.items) - 1
             stack += reversed(list(zip(node.items, points, points[1:])))
         else:
             stack += [(item, src, snk) for item in reversed(node.items)]
-    return edges, head, formula_snk
+    stray = read.difference(atoms)
+    if stray:
+        raise ValidationError(f"formula uses atoms outside the given set: {sorted(stray)}")
+    return edges, "s0", "g1"
 
 
+@lru_cache(maxsize=256)
 def eval_expr(k: int) -> E.Rewb:
-    """The fixed formula-evaluation query over variables x_1..x_k."""
+    """The fixed formula-evaluation query over variables x_1..x_k, built
+    once per k."""
     if k < 1:
         raise ValidationError("eval expression needs k >= 1")
     variables = [f"x_{j}" for j in range(1, k + 1)]
@@ -348,16 +428,21 @@ def sat_reduction(phi: NnfFormula, atoms) -> GadgetOutput:
     """Source-sink connectivity holds iff ``phi`` is satisfiable."""
     atoms = list(atoms)
     edges, source, sink = _formula_edges(phi, atoms)
-    used = {node for edge in edges for node in (edge[0], edge[3])}
-    chain = _fresh_nodes(used, "c", len(atoms)) + [source]
+    # the formula's nodes are s0, s1 and g<n>, so the chain's c<i> are fresh
+    chain = [f"c{i}" for i in range(len(atoms))] + [source]
     for atom, a, b in zip(atoms, chain, chain[1:]):
-        edges.append((a, "a", atom, b))
-        edges.append((a, "a", STAR_VALUE, b))
-    expr = eval_expr(len(atoms))
-    for j in range(len(atoms), 0, -1):
+        edges += ((a, "a", atom, b), (a, "a", STAR_VALUE, b))
+    return GadgetOutput(graph(edges, source=chain[0], sink=sink), _sat_expr(len(atoms)))
+
+
+@lru_cache(maxsize=256)
+def _sat_expr(k):
+    """``eval_expr(k)`` under one binder per variable, x_1 outermost: the
+    query of every SAT gadget over k atoms, built once per k."""
+    expr = eval_expr(k)
+    for j in range(k, 0, -1):
         expr = E.Bind("a", f"x_{j}", expr)
-    g = graph(edges, source=chain[0], sink=sink)
-    return GadgetOutput(g, expr)
+    return expr
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +478,9 @@ def exists_compose(k: int, atoms, g: DataGraph, e: E.Rewb, *, letter: str = "a1"
 
     used = set(g.nodes)
     chain = _fresh_nodes(used, "q", len(atoms)) + [g.source]
-    edges = set(g.edges)
+    edges = list(g.edges)
     for atom, a, b in zip(atoms, chain, chain[1:]):
-        edges.add((a, letter, atom, b))
+        edges.append((a, letter, atom, b))
 
     walk = E.Star(E.Atom(letter))
     expr = E.Concat(walk, e)
@@ -428,10 +513,10 @@ def forall_compose(k: int, atoms, g: DataGraph, e: E.Rewb, *, skip_letter: str =
         raise ValidationError(f"letters already used by the inner gadget: {sorted(clash)}")
 
     used = set(g.nodes)
-    edges = set(g.edges)
+    edges = list(g.edges)
     source, sink = g.source, g.sink
     for atom in atoms:
-        edges.add((source, skip_letter, atom, sink))
+        edges.append((source, skip_letter, atom, sink))
 
     expr = e
     pairs = [
@@ -446,13 +531,13 @@ def forall_compose(k: int, atoms, g: DataGraph, e: E.Rewb, *, skip_letter: str =
         exits = _fresh_nodes(used, f"{a_l}out", len(atoms))
         (new_source,) = _fresh_nodes(used, f"{b_l}src", 1)
         (new_sink,) = _fresh_nodes(used, f"{c_l}snk", 1)
-        edges.add((new_source, b_l, STAR_VALUE, entries[0]))
+        edges.append((new_source, b_l, STAR_VALUE, entries[0]))
         for atom, entry, exit_ in zip(atoms, entries, exits):
-            edges.add((entry, a_l, atom, source))
-            edges.add((sink, a_l, atom, exit_))
+            edges.append((entry, a_l, atom, source))
+            edges.append((sink, a_l, atom, exit_))
         for exit_, entry in zip(exits, entries[1:]):
-            edges.add((exit_, c_l, STAR_VALUE, entry))
-        edges.add((exits[-1], c_l, STAR_VALUE, new_sink))
+            edges.append((exit_, c_l, STAR_VALUE, entry))
+        edges.append((exits[-1], c_l, STAR_VALUE, new_sink))
         source, sink = new_source, new_sink
 
         inner = E.Bind(a_l, var, E.Concat(expr, E.Test(a_l, E.Eq(var))))

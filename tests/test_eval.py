@@ -12,7 +12,7 @@ import pytest
 
 import rewb.expr as E
 from rewb.automata import hier_automaton
-from rewb.data import fresh_value, graph, word_values
+from rewb.data import DataGraph, fresh_value, graph, word_values
 from rewb.errors import BudgetError, CompatibilityError, UndefinedVariableError, ValidationError
 from rewb.automata import RegisterNfa
 from rewb.evaluate import (
@@ -562,6 +562,20 @@ def test_a_graph_builds_its_adjacency_once():
     fresh = graph(edges, source="u")
     assert fresh == g and hash(fresh) == hash(g)
     assert fresh.out_edges() == adj and fresh.out_edges() is not adj
+    # graph() makes the graph without __post_init__'s endpoint loop, and it
+    # is the one that DataGraph(...) makes from the same fields
+    made = graph(edges, nodes=["x"], sink="x")
+    direct = DataGraph(frozenset({"u", "v", "w", "x"}), frozenset(edges), None, "x")
+    assert made == direct and hash(made) == hash(direct)
+    same = DataGraph(made.nodes, made.edges, made.source, made.sink)
+    assert pickle.dumps(made) == pickle.dumps(same)
+    assert made.out_edges() == {**adj, "x": []} == same.out_edges()
+    assert pickle.dumps(made) == pickle.dumps(same)
+    for ends, message in (({"source": "x"}, "source names"), ({"sink": "y"}, "sink names")):
+        with pytest.raises(ValidationError, match=message):
+            graph(edges, **ends)
+    with pytest.raises(ValidationError, match="edge endpoint"):
+        DataGraph(frozenset({"u", "v"}), frozenset(edges))
 
 
 def test_adjacency_lists_equal_the_grouped_global_sort_under_two_hash_seeds():
@@ -863,7 +877,7 @@ def _outcome(run, *args):
         return UndefinedVariableError
 
 
-def test_member_on_the_reduced_nfa_agrees_with_the_interpreted_step():
+def test_member_on_the_compiled_nfa_agrees_with_the_interpreted_step():
     # valuations that miss some free variables make both raise on the same words
     rng = random.Random(223)
     raised = accepted = triples = 0

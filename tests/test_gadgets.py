@@ -1,5 +1,6 @@
 """Reduction gadgets against their brute-force oracles."""
 
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -12,10 +13,11 @@ import rewb.expr as E
 from rewb import classify, free_vars
 from rewb.cli import main
 from rewb.errors import ValidationError
-from rewb.evaluate import connected
+from rewb.evaluate import connected, witness_path
 from rewb.gadgets import (
     FAnd,
     FOr,
+    GadgetOutput,
     Neg,
     Pos,
     WqsatInstance,
@@ -31,7 +33,7 @@ from rewb.gadgets import (
     wqsat_reduction,
 )
 from rewb.pcp import PcpInstance, pcp_delta
-from rewb.syntax import parse_expr, print_graph
+from rewb.syntax import parse_expr, print_expr, print_graph
 from rewb.witness import r_expr
 
 from oracles import nnf_formulas
@@ -72,9 +74,41 @@ def _sat_shapes():
             yield " & ".join(clauses), [f"p{a}" for a in range(1, k + 1)]
 
 
+def _composed_shapes():
+    """Formula graphs, both compositions at k = 1 and 2, and WQSAT gadgets
+    of random 3-CNFs, among them the reduction benchmark's blocks (3, 3)
+    with weights (2, 1)."""
+    atoms = ["pr1", "pr2", "pr3", "pr4"]
+    inner = formula_graph(FIGURE, atoms)
+    yield GadgetOutput(inner, eval_expr(2))
+    for text, sat_atoms in _sat_shapes():
+        yield GadgetOutput(formula_graph(parse_nnf(text), sat_atoms), eval_expr(len(sat_atoms)))
+    for k in (1, 2):
+        yield exists_compose(k, atoms, inner, eval_expr(k))
+        yield forall_compose(k, atoms, inner, eval_expr(k))
+    rng = random.Random(30)
+    for sizes, weights in (((3, 3), (2, 1)), ((2, 2), (1, 1)), ((2, 1, 2), (1, 1, 2))):
+        names = [f"p{j}" for j in range(1, sum(sizes) + 1)]
+        bounds = list(itertools.accumulate((0,) + sizes))
+        blocks = tuple(tuple(names[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+        for _ in range(2):
+            text = " & ".join(
+                "(" + " | ".join(rng.choice(("", "!")) + a for a in rng.sample(names, 3)) + ")"
+                for _ in range(4)
+            )
+            yield wqsat_reduction(WqsatInstance(parse_nnf(text), blocks, weights))
+
+
 # sha256 of the rendered graphs of ``_sat_shapes`` as the gadget built them
 # from the formula graph plus the atom chain in two steps
 SAT_GRAPHS_SHA256 = "092b597842dba278e9d0a2058250e9922a9a3c2d1fe6a04bab57cf102438de3b"
+# sha256 of the rendered graphs, manifests and expressions of
+# ``_composed_shapes`` as the compositions built them from sets of edges
+COMPOSED_SHA256 = "73362cf1079d953217ae7fe0e7a8b07e6c8488ada65a5389469eacb7e14df719"
+# sha256 of ``witness_path`` from the source to every node, in sorted order,
+# on the gadgets of ``_sat_shapes``: the adjacency lists' sort fixes which
+# shortest witness is read back
+SAT_WITNESSES_SHA256 = "f12eebb53c5bbae7cb9c3d23c7bfd882b95770a20a74bdcf57ddd87ce747b0fb"
 
 
 def test_sat_gadget_graphs_are_unchanged(tmp_path):
@@ -87,6 +121,22 @@ def test_sat_gadget_graphs_are_unchanged(tmp_path):
                          "--out-graph", str(out_graph)]) == 0
         from_cli.update(out_graph.read_bytes())
     assert from_api.hexdigest() == from_cli.hexdigest() == SAT_GRAPHS_SHA256
+
+    composed = hashlib.sha256()
+    for out in _composed_shapes():
+        composed.update(f"{print_graph(out.graph)}{out.manifest()}\n{print_expr(out.expr)}\n".encode())
+        assert parse_expr(print_expr(out.expr)) is out.expr
+    assert composed.hexdigest() == COMPOSED_SHA256
+
+    witnesses = hashlib.sha256()
+    for text, atoms in _sat_shapes():
+        out = sat_reduction(parse_nnf(text), atoms)
+        assert parse_expr(print_expr(out.expr)) is out.expr
+        g = out.graph
+        for v in sorted(g.nodes):
+            path = witness_path(out.expr, g, {}, g.source, v)
+            witnesses.update(f"{v} {path}\n".encode())
+    assert witnesses.hexdigest() == SAT_WITNESSES_SHA256
 
 
 def test_formula_graph_single_literal_edge_labels():
@@ -284,17 +334,59 @@ def test_brute_formula_examples():
     (("p1 &", "!p1 |"), (False, False, False, False)),  # p1 & (!p1 | (p1 & ... !p1))
 ], ids=["satisfiable", "unsatisfiable"])
 def test_formulas_ten_thousand_levels_deep(parts, truths):
-    # parsed, evaluated, and turned into a gadget at the default recursion limit
-    phi = parse_nnf("".join(f"{parts[k % 2]} (" for k in range(10_000)) + "!p1" + ")" * 10_000)
+    # parsed, compared, hashed, printed, evaluated, and turned into a gadget
+    # at the default recursion limit
+    text = "".join(f"{parts[k % 2]} (" for k in range(10_000)) + "!p1" + ")" * 10_000
+    phi = parse_nnf(text)
     node, depth = phi, 0
     while not isinstance(node, (Pos, Neg)):
         node, depth = node.items[-1], depth + 1
     assert depth == 10_000 and node == Neg("p1")
+    twin = parse_nnf(text)
+    assert twin is not phi and twin == phi and hash(twin) == hash(phi)
+    assert phi != parse_nnf(text.replace("!p1", "!p2"))
+    assert repr(phi).endswith("Neg(atom='p1')" + "))" * 10_000)
+    inst = WqsatInstance(phi, (("p1", "p2"),), (1,))
+    assert repr(inst) == f"WqsatInstance(formula={phi!r}, blocks=(('p1', 'p2'),), weights=(1,))"
+    assert inst == WqsatInstance(twin, (("p1", "p2"),), (1,))
     assignments = (set(), {"p1"}, {"p2"}, {"p1", "p2"})
     assert tuple(brute_formula(phi, a) for a in assignments) == truths
     out = sat_reduction(phi, ["p1", "p2"])
     assert len(out.graph.edges) == 4 * 10_001 + 2 + 4
     assert connected(out.expr, out.graph, {}, out.graph.source, out.graph.sink) == any(truths)
+
+
+def test_formula_equality_hash_and_repr_are_the_dataclass_ones():
+    # the stack-based methods against those that dataclasses generates
+    made = {
+        cls: dataclasses.make_dataclass(cls.__name__, [(f.name, f.type) for f in dataclasses.fields(cls)],
+                                        frozen=True)
+        for cls in (Pos, Neg, FAnd, FOr)
+    }
+
+    def rebuilt(phi, classes):
+        if isinstance(phi, (Pos, Neg)):
+            return classes[type(phi)](phi.atom)
+        return classes[type(phi)](tuple(rebuilt(item, classes) for item in phi.items))
+
+    formulas = nnf_formulas(["pr1", "pr2"], 2) + [  # and connectives of one or three items
+        FAnd((Pos("pr1"),)),
+        FOr((FAnd((Neg("pr2"), Pos("pr1"))),)),
+        FAnd((FOr((Neg("pr1"),)), Pos("pr2"), Neg("pr2"))),
+    ]
+    references = [rebuilt(phi, made) for phi in formulas]
+    copies = [rebuilt(phi, {cls: cls for cls in made}) for phi in formulas]  # equal, not identical
+    for phi, ref, copy in zip(formulas, references, copies):
+        assert repr(phi) == repr(ref) and hash(phi) == hash(ref) == hash(copy)
+        assert copy is not phi and copy == phi
+    rng = random.Random(41)
+    for _ in range(5000):
+        i, j = rng.randrange(len(formulas)), rng.randrange(len(formulas))
+        assert (formulas[i] == copies[j]) == (references[i] == references[j])
+        assert (formulas[i] != copies[j]) == (references[i] != references[j])
+    assert Pos("pr1") != Neg("pr1") and Pos("pr1") != "pr1"
+    assert FAnd((Pos("pr1"),)) != FOr((Pos("pr1"),))
+    assert FOr((Pos("pr1"),)) != FOr((Pos("pr1"), Neg("pr2"))) != FOr((Pos("pr1"),))
 
 
 def test_parse_nnf():
