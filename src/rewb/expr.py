@@ -75,10 +75,12 @@ class _Interned:
     Values are hash-consed in ``_table``, a plain dict from kind and fields,
     parts by identity, to a weak reference to the value: building one equal
     to a live one returns that one, so equality is identity and hashing
-    costs O(1) at any depth. A hit is one dict lookup and one call of the
-    ref. The entry of a value that dies is deleted by its ref's callback.
-    ``_made`` sets derived fields on a new one. Pickles carry the fields,
-    so loads re-intern. The table takes no lock: threads that build equal
+    costs O(1) at any depth. A field may also be a tuple of parts, as a
+    formula's ``items`` in ``gadgets`` are. A hit is one dict lookup and
+    one call of the ref. The entry of a value that dies is deleted by its
+    ref's callback. ``_made`` checks the fields of a new one and sets its
+    derived fields; a value it rejects never enters the table. Pickles
+    carry the fields, so loads re-intern. The table takes no lock: threads that build equal
     values at the same moment may each get one of their own.
     """
 
@@ -109,7 +111,9 @@ class _Interned:
 
     def __repr__(self):
         """``Kind(field=value, ...)``, written from an explicit stack of
-        pieces, so a value of any depth takes no recursion."""
+        pieces, so a value of any depth takes no recursion. A tuple field
+        is written item by item on the same stack, as ``(x,)`` when it
+        has one item."""
         out = []
         stack = [self]
         while stack:
@@ -117,13 +121,18 @@ class _Interned:
             if isinstance(item, str):
                 out.append(item)
                 continue
-            stack.append(")")
-            names = item.__match_args__
-            for k in range(len(names) - 1, -1, -1):
-                value = getattr(item, names[k])
-                stack.append(value if isinstance(value, _Interned) else repr(value))
-                stack.append(f"{', ' if k else ''}{names[k]}=")
-            stack.append(f"{type(item).__name__}(")
+            if isinstance(item, tuple):
+                opening, closing = "(", ",)" if len(item) == 1 else ")"
+                parts = [(", " if k else "", value) for k, value in enumerate(item)]
+            else:
+                opening, closing = f"{type(item).__name__}(", ")"
+                parts = [(f"{', ' if k else ''}{name}=", getattr(item, name))
+                         for k, name in enumerate(item.__match_args__)]
+            stack.append(closing)
+            for prefix, value in reversed(parts):
+                stack.append(value if isinstance(value, (_Interned, tuple)) else repr(value))
+                stack.append(prefix)
+            stack.append(opening)
         return "".join(out)
 
 

@@ -24,6 +24,10 @@ On top of the schema:
 
 Brute-force oracles (``brute_formula``, ``brute_wqsat``) evaluate the same
 questions directly and back the equivalence tests.
+
+Formulas (``Pos``, ``Neg``, ``FAnd``, ``FOr``) are interned values like
+expression nodes: equal formulas are one object, so equality is identity,
+and hashing and ``repr`` take no recursion at any depth.
 """
 
 from __future__ import annotations
@@ -47,106 +51,26 @@ _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # Negation normal form formulas
 
 
-class _Nnf:
-    """Equality, hash and repr of formulas on explicit stacks, so that a
-    formula nested 10,000 deep compares, hashes and prints at the default
-    recursion limit. Each returns what the dataclass method would."""
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__ or not isinstance(a, _Nnf):
-                if a != b:
-                    return False
-            elif isinstance(a, (Pos, Neg)):
-                if a.atom != b.atom:
-                    return False
-            elif len(a.items) != len(b.items):
-                return False
-            else:
-                stack += zip(a.items, b.items)
-        return True
-
-    def __hash__(self):
-        hashes, stack = {}, [self]  # by id: every node lives as long as self
-        while stack:
-            node = stack[-1]
-            if id(node) in hashes:
-                stack.pop()
-            elif isinstance(node, (Pos, Neg)):
-                hashes[id(node)] = hash((node.atom,))
-            elif isinstance(node, (FAnd, FOr)):
-                pending = [item for item in node.items if id(item) not in hashes]
-                if pending:
-                    stack += pending
-                else:
-                    hashes[id(node)] = hash((tuple(_Hashed(hashes[id(item)]) for item in node.items),))
-            else:
-                hashes[id(node)] = hash(node)
-        return hashes[id(self)]
-
-    def __repr__(self):
-        out, stack = [], [(False, self)]  # (is text, text or item)
-        while stack:
-            text, node = stack.pop()
-            if text:
-                out.append(node)
-            elif isinstance(node, (Pos, Neg)):
-                out.append(f"{node.__class__.__qualname__}(atom={node.atom!r})")
-            elif isinstance(node, (FAnd, FOr)):
-                out.append(f"{node.__class__.__qualname__}(items=(")
-                stack.append((True, ",))" if len(node.items) == 1 else "))"))
-                for k in range(len(node.items) - 1, -1, -1):
-                    stack.append((False, node.items[k]))
-                    if k:
-                        stack.append((True, ", "))
-            else:
-                out.append(repr(node))
-        return "".join(out)
+class Pos(E._Interned):
+    __slots__ = __match_args__ = ("atom",)
 
 
-class _Hashed:
-    """Hashes as the given int, so a tuple of these hashes as the tuple of
-    the items whose hashes they hold."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __hash__(self):
-        return self.value
+class Neg(E._Interned):
+    __slots__ = __match_args__ = ("atom",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Pos(_Nnf):
-    atom: str
+class FAnd(E._Interned):
+    __slots__ = __match_args__ = ("items",)
 
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Neg(_Nnf):
-    atom: str
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class FAnd(_Nnf):
-    items: tuple
-
-    def __post_init__(self):
+    def _made(self):
         if not self.items:
             raise ValidationError("conjunction needs at least one item")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class FOr(_Nnf):
-    items: tuple
+class FOr(E._Interned):
+    __slots__ = __match_args__ = ("items",)
 
-    def __post_init__(self):
+    def _made(self):
         if not self.items:
             raise ValidationError("disjunction needs at least one item")
 

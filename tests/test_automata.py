@@ -1,6 +1,7 @@
 """Automaton compilation: position construction at both views."""
 
 import gc
+import itertools
 import random
 import tracemalloc
 
@@ -264,6 +265,22 @@ def test_language_agreement_with_recursive_semantics():
         for _ in range(8):
             w = random_word(rng, 6)
             assert member(e, w, val) == recursive_member(e, w, val)
+
+
+@pytest.mark.parametrize("text, val", [
+    ("a@x(b[x=].a@x(b[x=])).b[x=]", {"x": "2"}),
+    ("a@x(a@x(b[x=]).b[x=])", {}),
+    ("a@x(b[x=].(a@x(b[x=]))*.b[x=])", {}),
+    ("(a@x(b[x=]))*.b[x=]", {"x": "1"}),
+], ids=["inner-shadows-outer", "nested", "starred-inner", "free-after-bound"])
+def test_shadowed_binders_against_the_tree_as_parsed(text, val):
+    # member renames the binders apart; recursive_member reads the parsed
+    # tree, where an inner binder shadows an outer one of the same name
+    e = parse_expr(text)
+    letters = [(a, d) for a in "ab" for d in "12"]
+    for n in range(6):
+        for w in itertools.product(letters, repeat=n):
+            assert member(e, w, val) == recursive_member(e, w, val), w
 
 
 def _binder_depth(e):

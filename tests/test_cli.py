@@ -1,8 +1,11 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import importlib
 import io
 import random
+import re
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -514,6 +517,18 @@ def test_gadget_pcp_commands_reject_bad_indices_and_letters(tmp_path):
 def test_selftest_reports_ok():
     code, out, err = run(["selftest", "--seed", "3", "--cases", "25"])
     assert (code, out, err) == (0, "OK: 25 cases\n", "")
+
+
+def test_console_script_target_runs_selftest():
+    # [project.scripts] is read with a regex, as Python 3.10 has no tomllib
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    module, name = re.search(r'^rewb\s*=\s*"([\w.]+):(\w+)"$', scripts, re.M).groups()
+    entry = getattr(importlib.import_module(module), name)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert entry(["selftest", "--seed", "0", "--cases", "5"]) == 0
+    assert out.getvalue() == "OK: 5 cases\n"
 
 
 def test_selftest_rejects_a_negative_case_count():

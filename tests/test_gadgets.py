@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import itertools
+import pickle
 import random
 from contextlib import redirect_stdout
 
@@ -343,7 +344,7 @@ def test_formulas_ten_thousand_levels_deep(parts, truths):
         node, depth = node.items[-1], depth + 1
     assert depth == 10_000 and node == Neg("p1")
     twin = parse_nnf(text)
-    assert twin is not phi and twin == phi and hash(twin) == hash(phi)
+    assert twin is phi  # equal formulas are one object
     assert phi != parse_nnf(text.replace("!p1", "!p2"))
     assert repr(phi).endswith("Neg(atom='p1')" + "))" * 10_000)
     inst = WqsatInstance(phi, (("p1", "p2"),), (1,))
@@ -357,11 +358,11 @@ def test_formulas_ten_thousand_levels_deep(parts, truths):
 
 
 def test_formula_equality_hash_and_repr_are_the_dataclass_ones():
-    # the stack-based methods against those that dataclasses generates
+    # interned formulas against frozen dataclasses of the same fields: the
+    # same repr and the same equality, and equal formulas are one object
     made = {
-        cls: dataclasses.make_dataclass(cls.__name__, [(f.name, f.type) for f in dataclasses.fields(cls)],
-                                        frozen=True)
-        for cls in (Pos, Neg, FAnd, FOr)
+        cls: dataclasses.make_dataclass(cls.__name__, [name], frozen=True)
+        for cls, name in ((Pos, "atom"), (Neg, "atom"), (FAnd, "items"), (FOr, "items"))
     }
 
     def rebuilt(phi, classes):
@@ -375,10 +376,10 @@ def test_formula_equality_hash_and_repr_are_the_dataclass_ones():
         FAnd((FOr((Neg("pr1"),)), Pos("pr2"), Neg("pr2"))),
     ]
     references = [rebuilt(phi, made) for phi in formulas]
-    copies = [rebuilt(phi, {cls: cls for cls in made}) for phi in formulas]  # equal, not identical
+    copies = [rebuilt(phi, {cls: cls for cls in made}) for phi in formulas]  # built again
     for phi, ref, copy in zip(formulas, references, copies):
-        assert repr(phi) == repr(ref) and hash(phi) == hash(ref) == hash(copy)
-        assert copy is not phi and copy == phi
+        assert repr(phi) == repr(ref)
+        assert copy is phi and copy == phi and hash(copy) == hash(phi)
     rng = random.Random(41)
     for _ in range(5000):
         i, j = rng.randrange(len(formulas)), rng.randrange(len(formulas))
@@ -387,6 +388,22 @@ def test_formula_equality_hash_and_repr_are_the_dataclass_ones():
     assert Pos("pr1") != Neg("pr1") and Pos("pr1") != "pr1"
     assert FAnd((Pos("pr1"),)) != FOr((Pos("pr1"),))
     assert FOr((Pos("pr1"),)) != FOr((Pos("pr1"), Neg("pr2"))) != FOr((Pos("pr1"),))
+    assert repr(FOr((Neg("p1"),))) == "FOr(items=(Neg(atom='p1'),))"
+
+
+def test_formulas_pickle_to_the_same_object():
+    phi = parse_nnf("(pr1 | !pr2) & (pr2 | pr3)")
+    assert pickle.loads(pickle.dumps(phi)) is phi
+    inst = WqsatInstance(phi, (("pr1", "pr2"), ("pr3",)), (1, 1))
+    assert pickle.loads(pickle.dumps(inst)) == inst
+
+
+def test_empty_connectives_are_rejected_before_they_are_interned():
+    for kind in (FAnd, FOr):
+        with pytest.raises(ValidationError, match="at least one item"):
+            kind(())
+        assert (kind, ()) not in E._table
+    assert FAnd((Pos("p"),)).items == (Pos("p"),)
 
 
 def test_parse_nnf():
